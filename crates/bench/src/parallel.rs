@@ -1,27 +1,24 @@
 //! Parallel Monte-Carlo execution of fleet experiments.
 //!
 //! Replicates are embarrassingly parallel and fully deterministic per
-//! seed, so results are independent of scheduling: workers claim seed
-//! indices from an atomic counter, and the collector reorders by index
-//! before aggregation. Output is **bit-identical** to the serial
+//! seed, so results are independent of scheduling: workers claim seeds
+//! dynamically through [`simcore::fanout::fan_out`], which hands results
+//! back in seed order. Output is **bit-identical** to the serial
 //! [`century::experiment::run_replicated`] for the same seeds — the
 //! golden-digest suite pins this with [`FleetReport::digest`] equality.
 //!
-//! Each worker accumulates its results locally and hands them back
-//! through its join handle. A panic inside one replicate is caught at
-//! the replicate boundary and surfaced as
-//! [`ParallelError::ReplicatePanicked`] **with the failing seed** — a
-//! 64-seed batch that dies on seed 41 tells you so, instead of handing
-//! back a bare payload that leaves you bisecting. When several
-//! replicates panic, the smallest seed wins deterministically,
+//! A panic inside one replicate is caught at the replicate boundary and
+//! surfaced as [`ParallelError::ReplicatePanicked`] **with the failing
+//! seed** — a 64-seed batch that dies on seed 41 tells you so, instead
+//! of handing back a bare payload that leaves you bisecting. When
+//! several replicates panic, the smallest seed wins deterministically,
 //! independent of thread scheduling.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use century::experiment::ExperimentOutcome;
 use century::metrics::{ArmRow, ArmSummary};
 use fleet::sim::{FleetConfig, FleetReport, FleetSim};
 use simcore::event::EventQueue;
+use simcore::fanout::fan_out;
 
 /// Failures of the parallel runners: bad preconditions, or a replicate
 /// that panicked mid-run.
@@ -56,15 +53,6 @@ impl core::fmt::Display for ParallelError {
 
 impl std::error::Error for ParallelError {}
 
-/// Renders a caught panic payload for [`ParallelError::ReplicatePanicked`].
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .unwrap_or_else(|| "<non-string panic payload>".to_string())
-}
-
 /// Runs `replicates` seeds (`base_seed..base_seed+replicates`) across
 /// `threads` workers, returning reports in seed order.
 ///
@@ -79,102 +67,36 @@ pub fn run_reports(
     replicates: usize,
     threads: usize,
 ) -> Result<Vec<FleetReport>, ParallelError> {
+    run_seeds(make_config, base_seed, replicates, threads, |report| report)
+}
+
+/// The replicate runner behind the report and summary runners: fans the
+/// seeds out over `threads` workers, recycles one event queue per worker
+/// across all the seeds it claims (see [`FleetSim::run_with_queue`]), and
+/// maps each finished report through `extract` so callers choose how much
+/// of it outlives the run. Results come back in seed order.
+fn run_seeds<T: Send>(
+    make_config: &(dyn Fn(u64) -> FleetConfig + Sync),
+    base_seed: u64,
+    replicates: usize,
+    threads: usize,
+    extract: impl Fn(FleetReport) -> T + Sync,
+) -> Result<Vec<T>, ParallelError> {
     if replicates == 0 {
         return Err(ParallelError::ZeroReplicates);
     }
     if threads == 0 {
         return Err(ParallelError::ZeroThreads);
     }
-    let mut indexed = run_indexed(make_config, base_seed, replicates, threads, |_, report| report)?;
-    indexed.sort_by_key(|&(i, _)| i);
-    Ok(indexed.into_iter().map(|(_, r)| r).collect())
-}
-
-/// Worker pool shared by the report and summary runners: claims seed
-/// indices from an atomic counter, recycles one event queue per worker
-/// across all the seeds it claims (see [`FleetSim::run_with_queue`]), and
-/// maps each finished report through `extract` so callers choose how much
-/// of it outlives the run. Results are unordered; callers sort by index.
-///
-/// Panics are caught at the replicate boundary
-/// (`catch_unwind(AssertUnwindSafe(..))` — safe because the replicate's
-/// world, queue and report are abandoned on failure, never reused) and
-/// the worker stops claiming seeds. The collector still joins every
-/// worker, then reports the panicking replicate with the **smallest
-/// seed**, so the error is independent of which worker happened to claim
-/// what.
-///
-/// # Panics
-///
-/// Re-raises a panic only if it somehow escapes the per-replicate guard
-/// (e.g. from a `Drop` impl during unwinding).
-fn run_indexed<T: Send>(
-    make_config: &(dyn Fn(u64) -> FleetConfig + Sync),
-    base_seed: u64,
-    replicates: usize,
-    threads: usize,
-    extract: impl Fn(usize, FleetReport) -> T + Sync,
-) -> Result<Vec<(usize, T)>, ParallelError> {
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(replicates))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    let mut queue = EventQueue::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= replicates {
-                            break;
-                        }
-                        let seed = base_seed + i as u64;
-                        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || {
-                                let (report, queue) =
-                                    FleetSim::run_with_queue(make_config(seed), queue);
-                                ((i, extract(i, report)), queue)
-                            },
-                        ));
-                        match attempt {
-                            Ok((item, recycled)) => {
-                                queue = recycled;
-                                local.push(item);
-                            }
-                            Err(payload) => {
-                                return (
-                                    local,
-                                    Some((seed, panic_message(payload.as_ref()))),
-                                );
-                            }
-                        }
-                    }
-                    (local, None)
-                })
-            })
-            .collect();
-        let mut all = Vec::with_capacity(replicates);
-        let mut first_panic: Option<(u64, String)> = None;
-        for handle in handles {
-            match handle.join() {
-                Ok((local, failure)) => {
-                    all.extend(local);
-                    if let Some((seed, message)) = failure {
-                        let beats = match &first_panic {
-                            None => true,
-                            Some((earliest, _)) => seed < *earliest,
-                        };
-                        if beats {
-                            first_panic = Some((seed, message));
-                        }
-                    }
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        match first_panic {
-            Some((seed, message)) => Err(ParallelError::ReplicatePanicked { seed, message }),
-            None => Ok(all),
-        }
+    let seeds = (0..replicates as u64).map(|i| base_seed + i).collect();
+    fan_out(seeds, threads, EventQueue::new, |queue, _, seed| {
+        let report;
+        (report, *queue) = FleetSim::run_with_queue(make_config(seed), std::mem::take(queue));
+        extract(report)
+    })
+    .map_err(|p| ParallelError::ReplicatePanicked {
+        seed: base_seed + p.index as u64,
+        message: p.message(),
     })
 }
 
@@ -226,18 +148,11 @@ pub fn run_replicated_parallel_summaries(
     replicates: usize,
     threads: usize,
 ) -> Result<Vec<ArmSummary>, ParallelError> {
-    if replicates == 0 {
-        return Err(ParallelError::ZeroReplicates);
-    }
-    if threads == 0 {
-        return Err(ParallelError::ZeroThreads);
-    }
-    let mut indexed = run_indexed(make_config, base_seed, replicates, threads, |_, report| {
+    let rows = run_seeds(make_config, base_seed, replicates, threads, |report| {
         report.arms.iter().map(ArmRow::of).collect::<Vec<ArmRow>>()
     })?;
-    indexed.sort_by_key(|&(i, _)| i);
-    let mut arms: Vec<ArmSummary> = indexed[0].1.iter().map(|r| ArmSummary::new(r.name)).collect();
-    for (_, rows) in &indexed {
+    let mut arms: Vec<ArmSummary> = rows[0].iter().map(|r| ArmSummary::new(r.name)).collect();
+    for rows in &rows {
         for (summary, row) in arms.iter_mut().zip(rows) {
             summary.add_row(row);
         }

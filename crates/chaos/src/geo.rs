@@ -138,7 +138,7 @@ impl GeoStormBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{checkpoint_with_plan, resume_with_plan, run_with_plan};
+    use crate::tests::{checkpoint, resume, run_with_plan};
     use fleet::sim::FleetSim;
 
     fn cfg(seed: u64) -> FleetConfig {
@@ -193,7 +193,7 @@ mod tests {
         let plan = city_plan(7, 1.0);
         let n = plan.len() as u64;
         assert!(n > 0);
-        let report = run_with_plan(c, plan);
+        let report = run_with_plan(c, &plan);
         let injected: u64 = report.arms.iter().map(|a| a.faults_injected).sum();
         assert_eq!(injected, n, "every planned knockout targets a real device");
         let knockout_lines = report
@@ -208,14 +208,14 @@ mod tests {
     #[test]
     fn zero_intensity_is_a_noop() {
         let plain = FleetSim::run(cfg(9));
-        let stormed = run_with_plan(cfg(9), city_plan(9, 0.0));
+        let stormed = run_with_plan(cfg(9), &city_plan(9, 0.0));
         assert_eq!(plain.digest(), stormed.digest());
     }
 
     #[test]
     fn uptime_is_monotone_in_storm_intensity() {
         let run = |intensity: f64| {
-            let report = run_with_plan(cfg(13), city_plan(13, intensity));
+            let report = run_with_plan(cfg(13), &city_plan(13, intensity));
             report.arms.iter().map(|a| a.weeks_up).sum::<u64>()
         };
         let calm = run(0.0);
@@ -234,12 +234,12 @@ mod tests {
         // possible — any interior fault time works: the replay cursor
         // carries exact progress.
         let mid = plan.faults()[plan.len() / 2].at;
-        let baseline = run_with_plan(cfg(21), plan.clone());
+        let baseline = run_with_plan(cfg(21), &plan);
         let dir = std::env::temp_dir().join("chaos-geo-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mid-storm.snap");
-        let _ = checkpoint_with_plan(cfg(21), plan.clone(), mid, &path).unwrap();
-        let resumed = resume_with_plan(&path, cfg(21), plan).unwrap();
+        let _ = checkpoint(cfg(21), &plan, mid, &path);
+        let resumed = resume(cfg(21), &plan, &path, 1);
         assert_eq!(resumed.digest(), baseline.digest());
         std::fs::remove_file(&path).unwrap();
     }

@@ -18,22 +18,29 @@
 //! * [`FleetInjector`] — a [`FaultHook`] that replays a plan against a
 //!   running [`FleetSim`] engine without touching the world's own event
 //!   stream or randomness (injection is draw-free by construction).
-//! * [`run_with_plan`] — build, run hooked, finalize: the chaos
-//!   counterpart of [`FleetSim::run`]. With an empty plan the output is
-//!   byte-identical to the fault-free run.
+//! * [`shard_injectors`] — the per-shard injector factory a
+//!   [`fleet::Run`] takes: `Run::new(cfg).hooks(shard_injectors(&plan,
+//!   ChaosProgress::default())).execute()` is the chaos counterpart of
+//!   [`FleetSim::run`], on any shard count and from a snapshot too. With
+//!   an empty plan the output is byte-identical to the fault-free run.
+//!
+//! To checkpoint a chaos run, step the engine with
+//! [`Engine::run_until_hooked`](simcore::engine::Engine::run_until_hooked)
+//! under a [`FleetInjector`] and pass [`FleetInjector::progress`] to
+//! `fleet::snapshot::write_checkpoint`.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod geo;
 
-use fleet::shard::{run_sharded_hooked, ShardError};
-use fleet::sim::{ArmKind, Ev, FleetConfig, FleetReport, FleetSim};
+use fleet::shard::ShardPlan;
+use fleet::sim::{ArmKind, Ev, FleetConfig, FleetSim};
+use fleet::snapshot::ChaosProgress;
 use simcore::engine::{Ctx, FaultHook};
 use simcore::error::ModelError;
 use simcore::event::EventQueue;
 use simcore::rng::Rng;
-use simcore::snapshot::SnapshotError;
 use simcore::time::{SimDuration, SimTime};
 
 /// One kind of injected fault, with its target and magnitude.
@@ -397,7 +404,7 @@ impl FleetInjector {
     /// snapshot-resume constructor. `progress.next` indexes into *this*
     /// plan's fault order (a stored value beyond the plan clamps to its
     /// end, leaving nothing to replay).
-    pub fn with_progress(plan: FaultPlan, progress: fleet::snapshot::ChaosProgress) -> Self {
+    pub fn with_progress(plan: FaultPlan, progress: ChaosProgress) -> Self {
         let next = usize::try_from(progress.next).unwrap_or(plan.len()).min(plan.len());
         FleetInjector { plan, next, applied: progress.applied, skipped: progress.skipped }
     }
@@ -405,12 +412,8 @@ impl FleetInjector {
     /// Replay progress in snapshot form: the next fault index and the
     /// applied/skipped tallies. Stored by `fleet::snapshot` checkpoints
     /// and fed back through [`FleetInjector::with_progress`] on resume.
-    pub fn progress(&self) -> fleet::snapshot::ChaosProgress {
-        fleet::snapshot::ChaosProgress {
-            next: self.next as u64,
-            applied: self.applied,
-            skipped: self.skipped,
-        }
+    pub fn progress(&self) -> ChaosProgress {
+        ChaosProgress { next: self.next as u64, applied: self.applied, skipped: self.skipped }
     }
 
     /// Faults successfully injected so far.
@@ -466,246 +469,96 @@ impl FaultHook<FleetSim> for FleetInjector {
     }
 }
 
-/// Runs `cfg` to its horizon with `plan` injected, and finalizes through
-/// the same path as [`FleetSim::run`]. An [`empty`](FaultPlan::empty)
-/// plan reproduces the fault-free run byte for byte (diary included).
-pub fn run_with_plan(cfg: FleetConfig, plan: FaultPlan) -> FleetReport {
-    let horizon = SimTime::ZERO + cfg.horizon;
-    let mut engine = FleetSim::build(cfg);
-    let mut injector = FleetInjector::new(plan);
-    engine.run_until_hooked(horizon, &mut injector);
-    FleetSim::into_report(engine, horizon)
-}
-
-/// [`run_with_plan`] split across `shards` worker threads — bit-identical
-/// digest, same skip accounting.
+/// The per-shard injector factory for [`fleet::Run::hooks`]: the one
+/// way a chaos plan joins a fleet run, fresh or resumed, on any shard
+/// count.
 ///
-/// Each fault is routed to the shard owning its target arm
-/// ([`fleet::shard::ShardPlan::owner_of`]); faults aimed at arms the
-/// configuration lacks go to shard 0, whose injector records the skip
-/// just like the serial injector. Because the per-arm interleaving of
-/// faults and simulation events is preserved within each shard (hooks
-/// fire before tied events there too), the merged report digests
-/// identically to the serial injected run for every plan and shard count.
+/// Shard `si` replays the subsequence of `plan` whose target arm it owns
+/// ([`ShardPlan::owner_of`]); faults aimed at arms the configuration
+/// lacks go to shard 0, whose injector records the skip just like the
+/// serial injector. Per-arm interleaving of faults and world events is
+/// preserved within each shard (hooks fire before tied events there too),
+/// so the merged report digests identically to the serial injected run
+/// for every plan and shard count. An [`empty`](FaultPlan::empty) plan
+/// reproduces the fault-free run byte for byte.
 ///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-pub fn run_sharded_with_plan(
-    cfg: FleetConfig,
-    plan: FaultPlan,
-    shards: usize,
-) -> Result<FleetReport, ShardError> {
-    run_sharded_hooked(cfg, shards, |si, splan| {
-        let mine: Vec<Fault> = plan
-            .faults()
-            .iter()
-            .copied()
-            .filter(|f| splan.owner_of(f.kind.arm()).unwrap_or(0) == si)
-            .collect();
-        // `from_faults` sorts stably by time; the filtered subsequence is
-        // already time-ordered, so replay order is the serial plan's.
-        FleetInjector::new(FaultPlan::from_faults(mine))
-    })
-}
-
-/// [`run_sharded_with_plan`] without the small-fleet serial fallback
-/// (see [`fleet::shard::SERIAL_FALLBACK_DEVICES`]): always splits into
-/// the requested shard count. The differential suites use this so small
-/// test fleets still exercise the multi-shard fault routing.
-///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-pub fn run_sharded_with_plan_forced(
-    cfg: FleetConfig,
-    plan: FaultPlan,
-    shards: usize,
-) -> Result<FleetReport, ShardError> {
-    fleet::shard::run_sharded_hooked_forced(cfg, shards, |si, splan| {
-        let mine: Vec<Fault> = plan
-            .faults()
-            .iter()
-            .copied()
-            .filter(|f| splan.owner_of(f.kind.arm()).unwrap_or(0) == si)
-            .collect();
-        FleetInjector::new(FaultPlan::from_faults(mine))
-    })
-}
-
-/// Why a chaos-run resume failed: the snapshot was unusable, or the
-/// shard request was invalid. Both are fail-closed — no partial world is
-/// ever returned.
-#[derive(Debug)]
-pub enum ResumeError {
-    /// The snapshot failed verification or decoding.
-    Snapshot(SnapshotError),
-    /// The sharded continuation request was invalid.
-    Shard(ShardError),
-}
-
-impl core::fmt::Display for ResumeError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ResumeError::Snapshot(e) => write!(f, "resume failed: {e}"),
-            ResumeError::Shard(e) => write!(f, "resume failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ResumeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ResumeError::Snapshot(e) => Some(e),
-            ResumeError::Shard(e) => Some(e),
-        }
-    }
-}
-
-impl From<SnapshotError> for ResumeError {
-    fn from(e: SnapshotError) -> Self {
-        ResumeError::Snapshot(e)
-    }
-}
-
-impl From<ShardError> for ResumeError {
-    fn from(e: ShardError) -> Self {
-        ResumeError::Shard(e)
-    }
-}
-
-/// Runs `cfg` under `plan` to the checkpoint boundary `at` and writes an
-/// atomic snapshot (world state plus the injector's replay progress) to
-/// `path`. Returns the engine and injector still positioned at `at`, so
-/// the caller can keep running — checkpointing never perturbs the run.
-///
-/// # Errors
-///
-/// [`SnapshotError::Io`] on any filesystem failure.
-pub fn checkpoint_with_plan(
-    cfg: FleetConfig,
-    plan: FaultPlan,
-    at: SimTime,
-    path: &std::path::Path,
-) -> Result<(simcore::engine::Engine<FleetSim>, FleetInjector), SnapshotError> {
-    let mut engine = FleetSim::build(cfg);
-    let mut injector = FleetInjector::new(plan);
-    engine.run_until_hooked(at, &mut injector);
-    fleet::snapshot::write_checkpoint(path, &mut engine, injector.progress())?;
-    Ok((engine, injector))
-}
-
-/// Resumes a chaos run from the snapshot at `path` and runs it serially
-/// to the horizon. `cfg` and `plan` must be the configuration and the
-/// *full serial* fault plan of the original run; replay continues from
-/// the stored progress, so already-injected faults never fire twice. The
-/// finished report digests bit-identically to the uninterrupted
-/// [`run_with_plan`].
-///
-/// # Errors
-///
-/// Fail-closed [`SnapshotError`] on any snapshot defect.
-pub fn resume_with_plan(
-    path: &std::path::Path,
-    cfg: FleetConfig,
-    plan: FaultPlan,
-) -> Result<FleetReport, SnapshotError> {
-    let resumed = fleet::snapshot::resume_from(path, cfg)?;
-    let mut injector = FleetInjector::with_progress(plan, resumed.chaos);
-    Ok(resumed.run_to_horizon_hooked(&mut injector))
-}
-
-/// [`resume_with_plan`] continued across `shards` worker threads —
-/// bit-identical digest to the uninterrupted serial run. Small fleets
-/// take the serial fallback; [`resume_sharded_with_plan_forced`]
-/// bypasses it.
-///
-/// # Errors
-///
-/// [`ResumeError`] wrapping the snapshot or shard failure.
-pub fn resume_sharded_with_plan(
-    path: &std::path::Path,
-    cfg: FleetConfig,
-    plan: FaultPlan,
-    shards: usize,
-) -> Result<FleetReport, ResumeError> {
-    resume_sharded_inner(path, cfg, plan, shards, false)
-}
-
-/// [`resume_sharded_with_plan`] without the small-fleet serial fallback.
-///
-/// # Errors
-///
-/// [`ResumeError`] wrapping the snapshot or shard failure.
-pub fn resume_sharded_with_plan_forced(
-    path: &std::path::Path,
-    cfg: FleetConfig,
-    plan: FaultPlan,
-    shards: usize,
-) -> Result<FleetReport, ResumeError> {
-    resume_sharded_inner(path, cfg, plan, shards, true)
-}
-
-fn resume_sharded_inner(
-    path: &std::path::Path,
-    cfg: FleetConfig,
-    plan: FaultPlan,
-    shards: usize,
-    force: bool,
-) -> Result<FleetReport, ResumeError> {
-    let resumed = fleet::snapshot::resume_from(path, cfg)?;
-    let serial_next = usize::try_from(resumed.chaos.next).unwrap_or(plan.len()).min(plan.len());
-    // Each shard replays the plan subsequence targeting its arms; its
-    // replay cursor starts past the prefix of that subsequence the serial
-    // run had already fired (faults with serial index < `next`). The
-    // shard tallies restart at zero — the cumulative pre-checkpoint
-    // applied/skipped counts live in the world's restored chaos counters,
-    // exactly as in an uninterrupted sharded run.
-    let make_hook = |si: usize, splan: &fleet::shard::ShardPlan| {
+/// `progress` is [`ChaosProgress::default`] for a fresh run and the
+/// snapshot's stored progress (`ResumedFleet::chaos`) for a resumed one,
+/// with `plan` the *full serial* plan of the original run. Each shard's
+/// replay cursor then starts past the part of its subsequence the serial
+/// run had already fired (faults with serial index below
+/// `progress.next`), so no fault fires twice. Shard tallies restart at
+/// zero: the cumulative applied/skipped counts live in the world's
+/// restored chaos counters.
+pub fn shard_injectors(
+    plan: &FaultPlan,
+    progress: ChaosProgress,
+) -> impl Fn(usize, &ShardPlan) -> FleetInjector + Sync + '_ {
+    let fired = usize::try_from(progress.next).unwrap_or(plan.len()).min(plan.len());
+    move |si, splan| {
         let mut mine = Vec::new();
-        let mut mine_next = 0usize;
+        let mut next = 0u64;
         for (idx, f) in plan.faults().iter().enumerate() {
             if splan.owner_of(f.kind.arm()).unwrap_or(0) == si {
-                if idx < serial_next {
-                    mine_next += 1;
+                if idx < fired {
+                    next += 1;
                 }
                 mine.push(*f);
             }
         }
+        // `from_faults` sorts stably by time; the filtered subsequence is
+        // already time-ordered, so replay order is the serial plan's.
         FleetInjector::with_progress(
             FaultPlan::from_faults(mine),
-            fleet::snapshot::ChaosProgress { next: mine_next as u64, applied: 0, skipped: 0 },
+            ChaosProgress { next, applied: 0, skipped: 0 },
         )
-    };
-    let report = if force {
-        fleet::shard::run_resumed_hooked_forced(resumed.engine, shards, make_hook)?
-    } else {
-        fleet::shard::run_resumed_hooked(resumed.engine, shards, make_hook)?
-    };
-    Ok(report)
-}
-
-/// Convenience: the paper experiment under a storm-heavy plan at the
-/// given intensity.
-///
-/// # Errors
-///
-/// Propagates [`FaultPlanBuilder::build`] validation failures.
-pub fn paper_experiment_under_storms(
-    seed: u64,
-    intensity: f64,
-) -> Result<FleetReport, ModelError> {
-    let cfg = FleetConfig::paper_experiment(seed);
-    let plan = FaultPlanBuilder::storm_heavy(seed ^ 0x5eed_c4a0).build(&cfg, intensity)?;
-    Ok(run_with_plan(cfg, plan))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fleet::sim::FleetReport;
+    use fleet::Run;
 
     fn cfg(seed: u64) -> FleetConfig {
         FleetConfig::paper_experiment(seed)
+    }
+
+    /// A fresh serial run of `cfg` under `plan`.
+    pub(crate) fn run_with_plan(cfg: FleetConfig, plan: &FaultPlan) -> FleetReport {
+        Run::new(cfg).hooks(shard_injectors(plan, ChaosProgress::default())).execute()
+    }
+
+    /// Runs `cfg` under `plan` to `at` and checkpoints there, returning
+    /// the injector positioned at `at`.
+    pub(crate) fn checkpoint(
+        cfg: FleetConfig,
+        plan: &FaultPlan,
+        at: SimTime,
+        path: &std::path::Path,
+    ) -> FleetInjector {
+        let mut engine = FleetSim::build(cfg);
+        let mut injector = FleetInjector::new(plan.clone());
+        engine.run_until_hooked(at, &mut injector);
+        fleet::snapshot::write_checkpoint(path, &mut engine, injector.progress()).unwrap();
+        injector
+    }
+
+    /// Resumes the checkpoint at `path` under the full `plan` on `shards`.
+    pub(crate) fn resume(
+        cfg: FleetConfig,
+        plan: &FaultPlan,
+        path: &std::path::Path,
+        shards: usize,
+    ) -> FleetReport {
+        let resumed = fleet::snapshot::resume_from(path, cfg).unwrap();
+        let progress = resumed.chaos;
+        Run::resume(resumed)
+            .shards(shards)
+            .unwrap()
+            .hooks(shard_injectors(plan, progress))
+            .execute()
     }
 
     #[test]
@@ -778,7 +631,7 @@ mod tests {
         let plan = FaultPlanBuilder::full(4).build(&c, 1.0).unwrap();
         let n = plan.len() as u64;
         assert!(n > 50, "full intensity over 50 years should be busy, got {n}");
-        let report = run_with_plan(c, plan);
+        let report = run_with_plan(c, &plan);
         let injected: u64 = report.arms.iter().map(|a| a.faults_injected).sum();
         assert_eq!(injected, n, "plan targets are built from the config; none may miss");
         let chaos_lines = report
@@ -793,7 +646,7 @@ mod tests {
     #[test]
     fn empty_plan_reproduces_the_fault_free_run_exactly() {
         let plain = FleetSim::run(cfg(9));
-        let hooked = run_with_plan(cfg(9), FaultPlan::empty());
+        let hooked = run_with_plan(cfg(9), &FaultPlan::empty());
         assert_eq!(plain.diary.render(), hooked.diary.render());
         assert_eq!(plain.events_processed, hooked.events_processed);
         assert_eq!(
@@ -811,8 +664,9 @@ mod tests {
 
     #[test]
     fn storms_cost_uptime() {
-        let calm = paper_experiment_under_storms(11, 0.0).unwrap();
-        let wild = paper_experiment_under_storms(11, 1.0).unwrap();
+        let storms = FaultPlanBuilder::storm_heavy(11 ^ 0x5eed_c4a0);
+        let calm = run_with_plan(cfg(11), &storms.build(&cfg(11), 0.0).unwrap());
+        let wild = run_with_plan(cfg(11), &storms.build(&cfg(11), 1.0).unwrap());
         for (c, w) in calm.arms.iter().zip(&wild.arms) {
             assert!(
                 w.weeks_up < c.weeks_up,
@@ -887,7 +741,7 @@ mod tests {
         let b = FleetInjector::with_progress(plan.clone(), a.progress());
         assert_eq!(b.progress(), a.progress());
         // A stored cursor beyond the plan clamps to its end.
-        let over = fleet::snapshot::ChaosProgress { next: u64::MAX, applied: 0, skipped: 0 };
+        let over = ChaosProgress { next: u64::MAX, applied: 0, skipped: 0 };
         let clamped = FleetInjector::with_progress(plan.clone(), over);
         assert_eq!(clamped.progress().next, plan.len() as u64);
     }
@@ -895,13 +749,12 @@ mod tests {
     #[test]
     fn chaos_checkpoint_resume_matches_uninterrupted() {
         let plan = FaultPlanBuilder::full(77).build(&cfg(77), 1.0).unwrap();
-        let baseline = run_with_plan(cfg(77), plan.clone());
+        let baseline = run_with_plan(cfg(77), &plan);
         let path = temp_snapshot("serial-resume.snap");
         let at = SimTime::from_years(10);
-        let (engine, injector) = checkpoint_with_plan(cfg(77), plan.clone(), at, &path).unwrap();
+        let injector = checkpoint(cfg(77), &plan, at, &path);
         assert!(injector.progress().next > 0, "a decade of full chaos fires faults");
-        drop(engine);
-        let report = resume_with_plan(&path, cfg(77), plan).unwrap();
+        let report = resume(cfg(77), &plan, &path, 1);
         assert_eq!(report.digest(), baseline.digest());
         std::fs::remove_file(&path).unwrap();
     }
@@ -909,11 +762,11 @@ mod tests {
     #[test]
     fn chaos_checkpoint_resume_sharded_matches_uninterrupted() {
         let plan = FaultPlanBuilder::storm_heavy(78).build(&cfg(78), 1.0).unwrap();
-        let baseline = run_with_plan(cfg(78), plan.clone());
+        let baseline = run_with_plan(cfg(78), &plan);
         let path = temp_snapshot("sharded-resume.snap");
         let at = SimTime::from_years(25);
-        let _ = checkpoint_with_plan(cfg(78), plan.clone(), at, &path).unwrap();
-        let report = resume_sharded_with_plan_forced(&path, cfg(78), plan, 2).unwrap();
+        let _ = checkpoint(cfg(78), &plan, at, &path);
+        let report = resume(cfg(78), &plan, &path, 2);
         assert_eq!(report.digest(), baseline.digest());
         assert_eq!(report.events_processed, baseline.events_processed);
         std::fs::remove_file(&path).unwrap();

@@ -17,7 +17,9 @@
 //! * [`sim`] — the discrete-event fleet simulation running §4's 50-year
 //!   experiment.
 //! * [`shard`] — deterministic intra-run sharding: the same simulation
-//!   split across worker threads with a bit-identical run digest.
+//!   split across worker threads with a bit-identical run digest, and
+//!   [`Run`], the one runner behind every fresh, resumed, plain and chaos
+//!   run.
 //! * [`snapshot`] — crash-recoverable mid-run checkpoints: run-to-week,
 //!   snapshot, resume, run-to-horizon digests exactly like the
 //!   uninterrupted run.
@@ -50,7 +52,7 @@ pub mod workforce;
 pub use device::{DeviceSpec, DeviceState, EnergySystem};
 pub use gateway::{GatewaySpec, GatewayState};
 pub use hierarchy::Hierarchy;
-pub use shard::{ShardError, ShardPlan};
+pub use shard::{Run, ShardError, ShardPlan};
 pub use sim::{ArmConfig, ArmReport, FleetConfig, FleetReport, FleetSim, SamplingMode};
 pub use snapshot::{ChaosProgress, ResumedFleet, FLEET_SNAPSHOT_VERSION};
 pub use store::DeviceStore;

@@ -23,11 +23,11 @@
 //!    serial (time, FIFO) order. Tick-chain events are replicated into
 //!    every shard.
 //! 3. **Run**: each shard advances its own `Engine` on a scoped worker
-//!    thread to the shared horizon. The weekly tick is the epoch barrier
+//!    thread ([`simcore::fanout::fan_out`]) to the shared horizon. The weekly tick is the epoch barrier
 //!    of the literature, but because no cross-shard messages exist the
 //!    shards never have to wait for each other — each replays the
 //!    broadcast locally.
-//! 4. **Merge** (`FleetSim::merge_shards` → `FleetSim::finalize`): arms
+//! 4. **Merge** (`FleetSim::merge_shards_onto` → `FleetSim::finalize`): arms
 //!    are regrouped in ascending global-id order and the *same* finalize
 //!    path as a serial run performs the canonical diary/span merge and
 //!    ledger collection; profiles fold with the replayed tick chains
@@ -39,13 +39,19 @@
 //! funnel through one finalize path whose output is a pure function of
 //! those per-arm streams. The differential harness
 //! (`tests/shard_differential.rs`) and the golden pins keep it that way.
+//!
+//! [`Run`] is the one runner of the protocol, and of every other fleet
+//! run: fresh or resumed, plain or under per-shard fault hooks, on one
+//! shard or many.
 
 use core::fmt;
 
-use simcore::engine::{Ctx, Engine, FaultHook};
+use simcore::engine::{Engine, FaultHook, NoFaults};
+use simcore::fanout::fan_out;
 use simcore::time::SimTime;
 
-use crate::sim::{Ev, FleetConfig, FleetReport, FleetSim};
+use crate::sim::{FleetConfig, FleetReport, FleetSim};
+use crate::snapshot::{ChaosProgress, ResumedFleet};
 
 /// Ways a sharded run request can be invalid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,6 +105,12 @@ impl ShardPlan {
         if shards == 0 {
             return Err(ShardError::ZeroShards);
         }
+        Ok(Self::lpt(weights, shards))
+    }
+
+    /// The LPT partition behind [`balance`](Self::balance), for a shard
+    /// count already known to be nonzero.
+    fn lpt(weights: &[u64], shards: usize) -> ShardPlan {
         let mut order: Vec<usize> = (0..weights.len()).collect();
         order.sort_by(|&a, &b| weights[b].max(1).cmp(&weights[a].max(1)).then(a.cmp(&b)));
         let mut loads = vec![0u64; shards];
@@ -122,7 +134,7 @@ impl ShardPlan {
                 owner[ai] = si;
             }
         }
-        Ok(ShardPlan { groups, owner })
+        ShardPlan { groups, owner }
     }
 
     /// The plan for a fleet configuration: arms weighted by device count.
@@ -131,14 +143,13 @@ impl ShardPlan {
     ///
     /// Returns [`ShardError::ZeroShards`] when `shards == 0`.
     pub fn for_fleet(cfg: &FleetConfig, shards: usize) -> Result<ShardPlan, ShardError> {
-        let weights: Vec<u64> = cfg.arms.iter().map(|a| a.devices as u64).collect();
-        Self::balance(&weights, shards)
+        Self::balance(&arm_weights(cfg), shards)
     }
 
     /// The shard owning global arm `ai`, or `None` for an out-of-range id
-    /// (chaos plans can target arms a configuration doesn't have; the
-    /// runner routes those to shard 0, whose injector skips them exactly
-    /// like the serial injector does).
+    /// (chaos plans can target arms a configuration doesn't have;
+    /// `chaos::shard_injectors` routes those to shard 0, whose injector
+    /// skips them exactly like the serial injector does).
     pub fn owner_of(&self, ai: usize) -> Option<usize> {
         self.owner.get(ai).copied()
     }
@@ -156,270 +167,199 @@ impl ShardPlan {
     }
 }
 
-/// The no-op hook behind the plain [`run_sharded`] entry point.
-struct NoFaults;
-
-impl FaultHook<FleetSim> for NoFaults {
-    fn next_fault_at(&self) -> Option<SimTime> {
-        None
-    }
-    fn fire(&mut self, _now: SimTime, _world: &mut FleetSim, _ctx: &mut Ctx<'_, Ev>) {}
-}
-
 /// Fleets smaller than this many devices run serially even when shards
-/// are requested: below it the per-thread spawn/merge overhead exceeds
+/// are requested from the auto entry points ([`FleetSim::run_sharded`],
+/// [`run_resumed`]): below it the per-thread spawn/merge overhead exceeds
 /// the parallel win (the throughput bench measured a 0.979× *slowdown*
 /// at 10k devices and a 1.34× speedup at 100k —
-/// `BENCH_sim_throughput.json`). The `*_forced` entry points bypass the
-/// threshold; the differential and golden suites use them so small test
-/// fleets still exercise the real multi-shard machinery.
+/// `BENCH_sim_throughput.json`). A [`Run`] never applies it: its shard
+/// count means exactly that many shards, which is how the differential
+/// and golden suites drive the real multi-shard machinery on small
+/// fleets.
 pub const SERIAL_FALLBACK_DEVICES: u64 = 50_000;
 
-/// Total configured device count — the work measure the serial-fallback
-/// threshold compares against [`SERIAL_FALLBACK_DEVICES`].
-fn fleet_devices(cfg: &FleetConfig) -> u64 {
-    cfg.arms.iter().map(|a| a.devices as u64).sum()
-}
-
-/// The plan a run request resolves to: the requested shard count, or —
-/// when the fleet is below the serial-fallback threshold and `force` is
-/// off — a one-shard plan. Collapsing the *plan* (not just the thread
-/// count) matters for hooked runs: the serial fallback builds shard 0's
-/// hook, and under a one-shard plan `owner_of` routes every arm's faults
-/// to shard 0, so no fault is silently dropped.
-fn effective_plan(cfg: &FleetConfig, shards: usize, force: bool) -> Result<ShardPlan, ShardError> {
-    if shards == 0 {
-        return Err(ShardError::ZeroShards);
+/// The shard count an auto entry point runs a request for `requested`
+/// shards at: one below [`SERIAL_FALLBACK_DEVICES`] devices, the request
+/// otherwise (zero stays zero, so the request is still refused).
+pub(crate) fn auto_shards(cfg: &FleetConfig, requested: usize) -> usize {
+    let devices: u64 = arm_weights(cfg).iter().sum();
+    if requested > 0 && devices < SERIAL_FALLBACK_DEVICES {
+        1
+    } else {
+        requested
     }
-    if !force && fleet_devices(cfg) < SERIAL_FALLBACK_DEVICES {
-        return ShardPlan::for_fleet(cfg, 1);
-    }
-    ShardPlan::for_fleet(cfg, shards)
 }
 
-/// Runs `cfg` split across `shards` worker threads.
-///
-/// The returned report is bit-identical — same digest — to
-/// [`FleetSim::run`] for every seed and every shard count. `shards`
-/// larger than the arm count degrades gracefully (one arm per shard,
-/// surplus shards idle); `shards == 1` takes the serial path outright;
-/// fleets under [`SERIAL_FALLBACK_DEVICES`] devices also run serially
-/// (use [`run_sharded_forced`] to bypass).
-///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-pub fn run_sharded(cfg: FleetConfig, shards: usize) -> Result<FleetReport, ShardError> {
-    run_sharded_hooked(cfg, shards, |_si, _plan| NoFaults)
-}
-
-/// [`run_sharded`] without the small-fleet serial fallback: always
-/// splits into the requested shard count. Test harnesses use this so
-/// small fleets still drive the real multi-shard machinery; production
-/// callers should prefer [`run_sharded`].
-///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-pub fn run_sharded_forced(cfg: FleetConfig, shards: usize) -> Result<FleetReport, ShardError> {
-    run_sharded_hooked_forced(cfg, shards, |_si, _plan| NoFaults)
-}
-
-/// [`run_sharded`] with a per-shard [`FaultHook`] — the chaos crate's
-/// entry point. `make_hook(si, plan)` builds shard `si`'s hook; hooks for
-/// the serial fallback (one or zero non-empty shards) are built as shard
-/// 0's. Hooks fire before tied world events *within their shard*, which
-/// is the same per-arm interleaving the serial engine produces.
-///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-///
-/// # Panics
-///
-/// Re-raises (via [`std::panic::resume_unwind`]) any panic raised on a
-/// shard worker thread, after every worker has been joined.
-pub fn run_sharded_hooked<H, F>(
-    cfg: FleetConfig,
-    shards: usize,
-    make_hook: F,
-) -> Result<FleetReport, ShardError>
-where
-    H: FaultHook<FleetSim> + Send,
-    F: Fn(usize, &ShardPlan) -> H + Sync,
-{
-    run_sharded_hooked_inner(cfg, shards, make_hook, false)
-}
-
-/// [`run_sharded_hooked`] without the small-fleet serial fallback.
-///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-pub fn run_sharded_hooked_forced<H, F>(
-    cfg: FleetConfig,
-    shards: usize,
-    make_hook: F,
-) -> Result<FleetReport, ShardError>
-where
-    H: FaultHook<FleetSim> + Send,
-    F: Fn(usize, &ShardPlan) -> H + Sync,
-{
-    run_sharded_hooked_inner(cfg, shards, make_hook, true)
-}
-
-fn run_sharded_hooked_inner<H, F>(
-    cfg: FleetConfig,
-    shards: usize,
-    make_hook: F,
-    force: bool,
-) -> Result<FleetReport, ShardError>
-where
-    H: FaultHook<FleetSim> + Send,
-    F: Fn(usize, &ShardPlan) -> H + Sync,
-{
-    let plan = effective_plan(&cfg, shards, force)?;
-    let horizon = SimTime::ZERO + cfg.horizon;
-    // Per-arm planning is pure in (seed, arm index, config), so the build
-    // itself parallelizes — bit-identical to the serial build. Fan out as
-    // wide as the run phase will: the caller asked for `shards` threads.
-    let workers = shards.max(std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1));
-    let engine = FleetSim::build_parallel_with(cfg, workers);
-    drive_sharded(engine, &plan, horizon, make_hook)
-}
-
-/// Continues a restored mid-run engine (see [`crate::snapshot`]) to its
-/// horizon across `shards` worker threads. The finished report — digest
-/// included — is bit-identical to the uninterrupted serial run for every
-/// checkpoint instant and shard count; small fleets take the serial
-/// fallback as in [`run_sharded`].
+/// Continues an engine to its horizon across `shards` worker threads —
+/// or serially, for fleets under [`SERIAL_FALLBACK_DEVICES`]. The engine
+/// may be freshly built or restored from a snapshot (see
+/// [`crate::snapshot`]); the finished report — digest included — is
+/// bit-identical to the uninterrupted serial run for every checkpoint
+/// instant and shard count.
 ///
 /// # Errors
 ///
 /// Returns [`ShardError::ZeroShards`] when `shards == 0`.
 pub fn run_resumed(engine: Engine<FleetSim>, shards: usize) -> Result<FleetReport, ShardError> {
-    run_resumed_hooked(engine, shards, |_si, _plan| NoFaults)
+    let shards = auto_shards(&engine.world().cfg, shards);
+    let resumed = ResumedFleet { engine, chaos: ChaosProgress::default() };
+    Ok(Run::resume(resumed).shards(shards)?.execute())
 }
 
-/// [`run_resumed`] without the small-fleet serial fallback.
-///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-pub fn run_resumed_forced(
-    engine: Engine<FleetSim>,
-    shards: usize,
-) -> Result<FleetReport, ShardError> {
-    run_resumed_hooked_forced(engine, shards, |_si, _plan| NoFaults)
+/// Where a [`Run`] starts.
+enum Start {
+    /// Build the world from a configuration.
+    Fresh(FleetConfig),
+    /// Continue an engine already positioned mid-run (boxed: an engine
+    /// is several times the size of a config).
+    Resumed(Box<Engine<FleetSim>>),
 }
 
-/// [`run_resumed`] with a per-shard [`FaultHook`] — the chaos crate's
-/// resume entry point. Hook construction follows
-/// [`run_sharded_hooked`]'s contract.
-///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-pub fn run_resumed_hooked<H, F>(
-    engine: Engine<FleetSim>,
-    shards: usize,
-    make_hook: F,
-) -> Result<FleetReport, ShardError>
-where
-    H: FaultHook<FleetSim> + Send,
-    F: Fn(usize, &ShardPlan) -> H + Sync,
-{
-    run_resumed_hooked_inner(engine, shards, make_hook, false)
+/// The per-shard hook factory of a [`Run`] given none: no faults.
+type NoHooks = fn(usize, &ShardPlan) -> NoFaults;
+
+fn no_hooks(_si: usize, _plan: &ShardPlan) -> NoFaults {
+    NoFaults
 }
 
-/// [`run_resumed_hooked`] without the small-fleet serial fallback.
+/// One fleet run: the single runner behind every fresh, resumed, plain
+/// and chaos run in the workspace.
 ///
-/// # Errors
+/// A run starts from a [`FleetConfig`] ([`Run::new`]) or a restored
+/// snapshot ([`Run::resume`]), runs on a literal shard count
+/// ([`Run::shards`], default one) and optionally under a per-shard
+/// [`FaultHook`] factory ([`Run::hooks`]); [`Run::execute`] drives it to
+/// the configured horizon. Whatever the combination, the report digests
+/// bit-identically to the uninterrupted serial run.
 ///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-pub fn run_resumed_hooked_forced<H, F>(
-    engine: Engine<FleetSim>,
-    shards: usize,
-    make_hook: F,
-) -> Result<FleetReport, ShardError>
-where
-    H: FaultHook<FleetSim> + Send,
-    F: Fn(usize, &ShardPlan) -> H + Sync,
-{
-    run_resumed_hooked_inner(engine, shards, make_hook, true)
-}
-
-fn run_resumed_hooked_inner<H, F>(
-    engine: Engine<FleetSim>,
+/// ```
+/// use fleet::{FleetConfig, FleetSim, Run};
+///
+/// let serial = FleetSim::run(FleetConfig::paper_experiment(7));
+/// let sharded = Run::new(FleetConfig::paper_experiment(7)).shards(2)?.execute();
+/// assert_eq!(serial.digest(), sharded.digest());
+/// # Ok::<(), fleet::ShardError>(())
+/// ```
+#[must_use = "a Run does nothing until executed"]
+pub struct Run<F = NoHooks> {
+    start: Start,
     shards: usize,
     make_hook: F,
-    force: bool,
-) -> Result<FleetReport, ShardError>
-where
-    H: FaultHook<FleetSim> + Send,
-    F: Fn(usize, &ShardPlan) -> H + Sync,
-{
-    let plan = effective_plan(&engine.world().cfg, shards, force)?;
-    let horizon = SimTime::ZERO + engine.world().cfg.horizon;
-    drive_sharded(engine, &plan, horizon, make_hook)
 }
 
-/// The one sharded driver behind fresh and resumed runs: split the
-/// engine by the plan's non-empty groups, run each shard on a scoped
-/// worker thread, merge through the canonical finalize path.
-///
-/// The engine's profile is captured *before* the split and folded back
-/// in at merge ([`FleetSim::merge_shards_onto`]): a fresh engine
-/// contributes an empty base, a resumed engine its pre-checkpoint
-/// dispatch counts, so `events_processed` matches the uninterrupted
-/// serial run either way.
-fn drive_sharded<H, F>(
-    engine: Engine<FleetSim>,
-    plan: &ShardPlan,
-    horizon: SimTime,
-    make_hook: F,
-) -> Result<FleetReport, ShardError>
-where
-    H: FaultHook<FleetSim> + Send,
-    F: Fn(usize, &ShardPlan) -> H + Sync,
-{
-    let groups: Vec<Vec<usize>> =
-        plan.groups().iter().filter(|g| !g.is_empty()).cloned().collect();
-    if groups.len() <= 1 {
-        // One shard of work (or an arm-less config): the split would be
-        // the identity, so run serial under shard 0's hook.
-        let mut engine = engine;
-        let mut hook = make_hook(0, plan);
-        engine.run_until_hooked(horizon, &mut hook);
-        return Ok(FleetSim::into_report(engine, horizon));
+impl Run {
+    /// A fresh run of `cfg` on one shard, without faults.
+    pub fn new(cfg: FleetConfig) -> Run {
+        Run { start: Start::Fresh(cfg), shards: 1, make_hook: no_hooks }
     }
-    let base_profile = engine.profile().clone();
-    let engines = FleetSim::split_for_shards(engine, &groups);
-    let joined: Vec<std::thread::Result<Engine<FleetSim>>> = std::thread::scope(|scope| {
-        let make_hook = &make_hook;
-        let handles: Vec<_> = engines
-            .into_iter()
-            .enumerate()
-            .map(|(si, mut engine)| {
-                scope.spawn(move || {
-                    let mut hook = make_hook(si, plan);
-                    engine.run_until_hooked(horizon, &mut hook);
-                    engine
-                })
-            })
-            .collect();
-        handles.into_iter().map(std::thread::ScopedJoinHandle::join).collect()
-    });
-    let mut finished = Vec::with_capacity(joined.len());
-    for result in joined {
-        match result {
-            Ok(engine) => finished.push(engine),
-            // A worker died: every sibling has been joined above, so
-            // re-raising the first payload loses nothing.
-            Err(payload) => std::panic::resume_unwind(payload),
+
+    /// A run continuing a restored snapshot to its horizon. The stored
+    /// chaos progress is not consulted here: a resumed chaos run passes
+    /// `resumed.chaos` to its hook factory (`chaos::shard_injectors`).
+    pub fn resume(resumed: ResumedFleet) -> Run {
+        Run { start: Start::Resumed(Box::new(resumed.engine)), shards: 1, make_hook: no_hooks }
+    }
+}
+
+impl<F> Run<F> {
+    /// Runs across exactly `shards` shards: one runs on the calling
+    /// thread, more split the fleet by a [`ShardPlan`] and run each shard
+    /// on its own scoped thread. Shards beyond the arm count sit idle.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShardError::ZeroShards`] when `shards == 0`.
+    pub fn shards(self, shards: usize) -> Result<Self, ShardError> {
+        if shards == 0 {
+            return Err(ShardError::ZeroShards);
         }
+        Ok(Run { shards, ..self })
     }
-    FleetSim::merge_shards_onto(base_profile, finished, horizon).ok_or(ShardError::ZeroShards)
+
+    /// Runs under per-shard fault hooks: `make_hook(si, plan)` builds
+    /// shard `si`'s hook (a one-shard run builds shard 0's, whose plan
+    /// owns every arm). Hooks fire before tied world events within their
+    /// shard, which is the same per-arm interleaving the serial engine
+    /// produces.
+    pub fn hooks<G, H>(self, make_hook: G) -> Run<G>
+    where
+        H: FaultHook<FleetSim> + Send,
+        G: Fn(usize, &ShardPlan) -> H + Sync,
+    {
+        Run { start: self.start, shards: self.shards, make_hook }
+    }
+}
+
+impl<F, H> Run<F>
+where
+    H: FaultHook<FleetSim> + Send,
+    F: Fn(usize, &ShardPlan) -> H + Sync,
+{
+    /// Drives the run to its horizon and finalizes it.
+    ///
+    /// With one non-empty shard group the engine is built (or taken as
+    /// restored) and run on the calling thread; no thread is spawned.
+    /// Otherwise a fresh engine is built with per-arm planning fanned out
+    /// over at least `shards` threads, split by the plan's groups, each
+    /// shard run on a scoped worker, and the shards merged through the
+    /// canonical finalize path. The engine's profile is captured *before*
+    /// the split and folded back in at merge: a fresh engine contributes
+    /// an empty base, a resumed engine its pre-checkpoint dispatch counts,
+    /// so `events_processed` matches the uninterrupted serial run either
+    /// way.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises (via [`std::panic::resume_unwind`]) the lowest-index
+    /// shard's panic, after every shard worker has been joined.
+    pub fn execute(self) -> FleetReport {
+        let Run { start, shards, make_hook } = self;
+        let cfg = match &start {
+            Start::Fresh(cfg) => cfg,
+            Start::Resumed(engine) => &engine.world().cfg,
+        };
+        let horizon = SimTime::ZERO + cfg.horizon;
+        let plan = ShardPlan::lpt(&arm_weights(cfg), shards);
+        let groups: Vec<Vec<usize>> =
+            plan.groups().iter().filter(|g| !g.is_empty()).cloned().collect();
+        if groups.len() <= 1 {
+            // One shard of work (or an arm-less config): the split would
+            // be the identity, so run here under shard 0's hook.
+            let mut engine = match start {
+                Start::Fresh(cfg) => FleetSim::build(cfg),
+                Start::Resumed(engine) => *engine,
+            };
+            let mut hook = make_hook(0, &plan);
+            engine.run_until_hooked(horizon, &mut hook);
+            return FleetSim::into_report(engine, horizon);
+        }
+        let engine = match start {
+            Start::Fresh(cfg) => {
+                let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+                FleetSim::build_parallel_with(cfg, shards.max(cores))
+            }
+            Start::Resumed(engine) => *engine,
+        };
+        let base_profile = engine.profile().clone();
+        let (shell, engines) = FleetSim::split_for_shards(engine, &groups);
+        let finished = fan_out(
+            engines,
+            groups.len(),
+            || (),
+            |_, si, mut engine| {
+                let mut hook = make_hook(si, &plan);
+                engine.run_until_hooked(horizon, &mut hook);
+                engine
+            },
+        )
+        .unwrap_or_else(|p| std::panic::resume_unwind(p.payload));
+        FleetSim::merge_shards_onto(shell, base_profile, finished, horizon)
+    }
+}
+
+/// Per-arm shard weights: the device count.
+fn arm_weights(cfg: &FleetConfig) -> Vec<u64> {
+    cfg.arms.iter().map(|a| a.devices as u64).collect()
 }
 
 #[cfg(test)]
@@ -429,7 +369,11 @@ mod tests {
     #[test]
     fn zero_shards_is_an_error() {
         assert_eq!(ShardPlan::balance(&[1, 2, 3], 0), Err(ShardError::ZeroShards));
-        let err = run_sharded(FleetConfig::paper_experiment(1), 0).unwrap_err();
+        let Err(err) = Run::new(FleetConfig::paper_experiment(1)).shards(0) else {
+            panic!("zero shards must be refused");
+        };
+        assert_eq!(err, ShardError::ZeroShards);
+        let err = FleetSim::run_sharded(FleetConfig::paper_experiment(1), 0).unwrap_err();
         assert_eq!(err, ShardError::ZeroShards);
         assert!(err.to_string().contains("zero shards"));
     }
@@ -480,9 +424,9 @@ mod tests {
     #[test]
     fn sharded_matches_serial_smoke() {
         let serial = FleetSim::run(FleetConfig::paper_experiment(5));
-        // Forced: the 20-device paper fleet is below the fallback
-        // threshold, and this smoke test wants the real split machinery.
-        let sharded = run_sharded_forced(FleetConfig::paper_experiment(5), 2).unwrap();
+        // A literal two-shard Run: the 20-device paper fleet is below the
+        // fallback threshold, and this smoke test wants the real split.
+        let sharded = Run::new(FleetConfig::paper_experiment(5)).shards(2).unwrap().execute();
         assert_eq!(serial.digest(), sharded.digest());
     }
 
@@ -490,13 +434,24 @@ mod tests {
     fn small_fleet_serial_fallback_digests_identically() {
         // The paper fleet (20 devices) sits far below
         // SERIAL_FALLBACK_DEVICES: the auto path must collapse to serial
-        // and still digest exactly like serial and like a forced split.
-        let serial = FleetSim::run(FleetConfig::paper_experiment(9));
-        let auto = run_sharded(FleetConfig::paper_experiment(9), 4).unwrap();
-        let forced = run_sharded_forced(FleetConfig::paper_experiment(9), 4).unwrap();
+        // and still digest exactly like serial and like a literal split.
+        let cfg = FleetConfig::paper_experiment(9);
+        assert_eq!(auto_shards(&cfg, 4), 1);
+        let serial = FleetSim::run(cfg.clone());
+        let auto = FleetSim::run_sharded(cfg.clone(), 4).unwrap();
+        let split = Run::new(cfg).shards(4).unwrap().execute();
         assert_eq!(serial.digest(), auto.digest());
-        assert_eq!(serial.digest(), forced.digest());
+        assert_eq!(serial.digest(), split.digest());
         assert_eq!(serial.events_processed, auto.events_processed);
+    }
+
+    #[test]
+    fn auto_shards_keeps_large_fleets_split() {
+        let big = FleetConfig::scaled(1, SERIAL_FALLBACK_DEVICES as usize);
+        assert_eq!(auto_shards(&big, 4), 4);
+        assert_eq!(auto_shards(&big, 0), 0, "zero is still refused downstream");
+        let small = FleetConfig::scaled(1, SERIAL_FALLBACK_DEVICES as usize - 16);
+        assert_eq!(auto_shards(&small, 4), 1);
     }
 
     #[test]
@@ -513,7 +468,7 @@ mod tests {
         );
         drop(engine);
         let resumed = crate::snapshot::resume_from_bytes(&bytes, cfg()).unwrap();
-        let report = run_resumed_forced(resumed.engine, 2).unwrap();
+        let report = Run::resume(resumed).shards(2).unwrap().execute();
         assert_eq!(report.digest(), baseline.digest());
         assert_eq!(report.events_processed, baseline.events_processed);
     }

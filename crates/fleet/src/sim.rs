@@ -35,6 +35,7 @@ use reliability::system::bom;
 use simcore::dist::{sorted_uniforms, Binomial, InverseCdf};
 use simcore::engine::{Ctx, Engine, EngineProfile, World};
 use simcore::event::EventQueue;
+use simcore::fanout::fan_out;
 use simcore::rng::Rng;
 use simcore::survival::Observation;
 use simcore::time::{SimDuration, SimTime, WEEK};
@@ -225,6 +226,25 @@ impl FleetConfig {
             ],
             env: bom::Environment::default(),
             sampling: SamplingMode::Legacy,
+        }
+    }
+
+    /// Arm count of the [`scaled`](Self::scaled) fleet: divisible by 2, 4
+    /// and 8, so the shard plan balances perfectly at the usual shard
+    /// counts.
+    pub const SCALED_ARMS: usize = 16;
+
+    /// The synthetic many-arm fleet shared by the throughput bench and the
+    /// daemon's `scaled` scenario: the paper experiment for `seed` with its
+    /// arms replaced by [`SCALED_ARMS`](Self::SCALED_ARMS) equal owned
+    /// arms of `devices / SCALED_ARMS` sensors (at least one) and 2
+    /// gateways each. Equal arms keep the shard plan balanced, so a
+    /// sharded run measures engine scaling rather than partition skew.
+    pub fn scaled(seed: u64, devices: usize) -> Self {
+        let per_arm = (devices / Self::SCALED_ARMS).max(1);
+        FleetConfig {
+            arms: (0..Self::SCALED_ARMS).map(|_| ArmConfig::paper_owned_154(per_arm, 2)).collect(),
+            ..Self::paper_experiment(seed)
         }
     }
 
@@ -488,7 +508,7 @@ pub struct FleetSim {
 
 /// The registry-free output of build phase 1 for one arm: a pure function
 /// of `(config, arm index)`, computable on any thread
-/// (see [`FleetSim::build_parallel`]).
+/// (see [`FleetSim::build_parallel_with`]).
 struct ArmPlan {
     store: DeviceStore,
     infra: ArmInfra,
@@ -507,57 +527,32 @@ impl FleetSim {
     }
 
     /// [`build`](Self::build) reusing the allocations of a queue from a
-    /// previous run (see [`Engine::new_with_queue`]) — the replicate-worker
-    /// fast path. Event order, and therefore the run digest, is identical
-    /// to a fresh build.
-    pub fn build_with_queue(cfg: FleetConfig, queue: EventQueue<Ev>) -> Engine<FleetSim> {
+    /// previous run (see [`Engine::new_with_queue`]). Event order, and
+    /// therefore the run digest, is identical to a fresh build.
+    fn build_with_queue(cfg: FleetConfig, queue: EventQueue<Ev>) -> Engine<FleetSim> {
         let plans = (0..cfg.arms.len()).map(|ai| Self::plan_arm(&cfg, ai)).collect();
         Self::assemble(cfg, plans, queue)
     }
 
     /// [`build`](Self::build) with the per-arm deployment planning —
     /// lifetime sampling, gateway deploys, the coverage lottery — fanned
-    /// out over scoped worker threads.
+    /// out over up to `workers` scoped threads
+    /// ([`simcore::fanout::fan_out`]).
     ///
-    /// Bit-identical to the serial build: phase 1 ([`plan_arm`]) is a
+    /// Bit-identical to the serial build: phase 1 (`plan_arm`) is a
     /// pure function of `(seed, arm index, config)` with no shared state,
     /// so computing plans concurrently changes nothing; phase 2
-    /// ([`assemble`]) runs serially on the calling thread and registers
+    /// (`assemble`) runs serially on the calling thread and registers
     /// metrics, merges the priming events, and primes the queue in exactly
     /// the serial order. At 1M devices the plan phase (order-statistic
-    /// lifetimes per arm) dominates build time, which is what was
-    /// Amdahl-capping the sharded sweep.
-    ///
-    /// [`plan_arm`]: Self::plan_arm
-    /// [`assemble`]: Self::assemble
-    pub fn build_parallel(cfg: FleetConfig) -> Engine<FleetSim> {
-        let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        Self::build_parallel_with(cfg, workers)
-    }
-
-    /// [`build_parallel`](Self::build_parallel) with an explicit worker
-    /// count. The sharded runner passes its shard count here: a container
-    /// whose cgroup quota reports one core still runs `k` shard threads,
-    /// so the plan phase should fan out just as wide.
+    /// lifetimes per arm) dominates build time. The sharded runner passes
+    /// at least its shard count here: a container whose cgroup quota
+    /// reports one core still runs `k` shard threads, so the plan phase
+    /// fans out just as wide.
     pub fn build_parallel_with(cfg: FleetConfig, workers: usize) -> Engine<FleetSim> {
-        let n = cfg.arms.len();
-        let workers = workers.min(n.max(1));
-        if workers <= 1 {
-            return Self::build(cfg);
-        }
-        let mut plans: Vec<Option<ArmPlan>> = (0..n).map(|_| None).collect();
-        let chunk = n.div_ceil(workers);
-        std::thread::scope(|s| {
-            for (w, slots) in plans.chunks_mut(chunk).enumerate() {
-                let cfg = &cfg;
-                s.spawn(move || {
-                    for (off, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(FleetSim::plan_arm(cfg, w * chunk + off));
-                    }
-                });
-            }
-        });
-        let plans = plans.into_iter().flatten().collect();
+        let arms = (0..cfg.arms.len()).collect();
+        let plans = fan_out(arms, workers, || (), |_, _, ai| Self::plan_arm(&cfg, ai))
+            .unwrap_or_else(|p| std::panic::resume_unwind(p.payload));
         Self::assemble(cfg, plans, EventQueue::new())
     }
 
@@ -566,8 +561,8 @@ impl FleetSim {
     /// deploys, the coverage lottery, initial spend, and the arm's primed
     /// events (in the canonical device → provider → gateway order). No
     /// registry or queue access, so arms can be planned concurrently
-    /// ([`build_parallel`](Self::build_parallel)) with a bit-identical
-    /// result.
+    /// ([`build_parallel_with`](Self::build_parallel_with)) with a
+    /// bit-identical result.
     fn plan_arm(cfg: &FleetConfig, ai: usize) -> ArmPlan {
         let arm_cfg = &cfg.arms[ai];
         let root = Rng::seed_from(cfg.seed);
@@ -778,9 +773,10 @@ impl FleetSim {
         engine
     }
 
-    /// Runs the configured experiment to its horizon and returns the report.
+    /// Runs the configured experiment to its horizon on the calling
+    /// thread and returns the report: a one-shard [`Run`](crate::Run).
     pub fn run(cfg: FleetConfig) -> FleetReport {
-        Self::run_with_queue(cfg, EventQueue::new()).0
+        crate::Run::new(cfg).execute()
     }
 
     /// [`run`](Self::run) reusing a queue from a previous replicate and
@@ -795,21 +791,17 @@ impl FleetSim {
     }
 
     /// Finalizes a finished engine into a [`FleetReport`]: right-censors
-    /// the survivors and collects the per-arm ledgers. Shared by [`run`]
-    /// and external drivers (fault injection wraps the engine itself, then
-    /// finalizes through the same path so reports stay structurally
-    /// identical).
-    ///
-    /// [`run`]: FleetSim::run
+    /// the survivors and collects the per-arm ledgers. Shared by
+    /// [`Run`](crate::Run) and callers that step an engine
+    /// themselves, so reports stay structurally identical.
     pub fn into_report(engine: Engine<FleetSim>, horizon: SimTime) -> FleetReport {
         Self::into_report_recycling(engine, horizon).0
     }
 
     /// [`into_report`](Self::into_report), additionally returning the
-    /// engine's event queue so the caller can recycle its allocations
-    /// into the next replicate via
-    /// [`build_with_queue`](Self::build_with_queue).
-    pub fn into_report_recycling(
+    /// engine's event queue for [`run_with_queue`](Self::run_with_queue)
+    /// to recycle.
+    fn into_report_recycling(
         engine: Engine<FleetSim>,
         horizon: SimTime,
     ) -> (FleetReport, EventQueue<Ev>) {
@@ -877,31 +869,16 @@ impl FleetSim {
         }
     }
 
-    /// Restores a mid-run simulation from the snapshot file at `path`
-    /// (see [`crate::snapshot`]). `cfg` must be the configuration the
-    /// snapshot was taken under; the rebuilt world is positioned exactly
-    /// at the checkpoint instant.
-    ///
-    /// # Errors
-    ///
-    /// Fail-closed [`simcore::snapshot::SnapshotError`] on any I/O,
-    /// framing, checksum, or configuration defect.
-    pub fn resume_from(
-        path: &std::path::Path,
-        cfg: FleetConfig,
-    ) -> Result<crate::snapshot::ResumedFleet, simcore::snapshot::SnapshotError> {
-        crate::snapshot::resume_from(path, cfg)
-    }
-
     /// Event kinds every shard replays locally instead of owning: the
-    /// fleet-wide tick chains. [`merge_shards`](Self::merge_shards) must
+    /// fleet-wide tick chains. [`merge_shards_onto`](Self::merge_shards_onto) must
     /// not sum their dispatch counts across shards — shard 0's copy is the
     /// canonical one — so the merged profile (and `events_processed`)
     /// matches the serial run exactly.
     pub(crate) const DUPLICATED_KINDS: &'static [&'static str] = &["weekly-check", "yearly-tick"];
 
-    /// Splits a freshly built (primed, not yet run) engine into one engine
-    /// per shard group.
+    /// Splits an engine into one engine per shard group, plus the arm-less
+    /// shell of the world that [`merge_shards_onto`](Self::merge_shards_onto)
+    /// regathers the finished arms into.
     ///
     /// `groups[si]` lists the global arm ids shard `si` owns; every arm
     /// must appear in exactly one group and groups must be non-empty. The
@@ -923,9 +900,9 @@ impl FleetSim {
     pub(crate) fn split_for_shards(
         engine: Engine<FleetSim>,
         groups: &[Vec<usize>],
-    ) -> Vec<Engine<FleetSim>> {
-        let (world, mut queue) = engine.into_parts();
-        let FleetSim { cfg, arms, cloud, metrics, chaos_applied, chaos_skipped } = world;
+    ) -> (FleetSim, Vec<Engine<FleetSim>>) {
+        let (mut shell, mut queue) = engine.into_parts();
+        let arms = core::mem::take(&mut shell.arms);
         // Owner map: global arm id -> shard slot.
         let mut owner = vec![0usize; arms.len()];
         for (si, group) in groups.iter().enumerate() {
@@ -955,22 +932,23 @@ impl FleetSim {
         let mut ids = Vec::new();
         for (si, arms) in shard_arms.into_iter().enumerate() {
             let world = FleetSim {
-                cfg: cfg.clone(),
+                cfg: shell.cfg.clone(),
                 arms,
-                cloud: cloud.clone(),
-                metrics: Arc::clone(&metrics),
-                chaos_applied: chaos_applied.clone(),
-                chaos_skipped: chaos_skipped.clone(),
+                cloud: shell.cloud.clone(),
+                metrics: Arc::clone(&shell.metrics),
+                chaos_applied: shell.chaos_applied.clone(),
+                chaos_skipped: shell.chaos_skipped.clone(),
             };
             let mut engine = Engine::new(world);
             ids.clear();
             engine.schedule_many(shard_events[si].drain(..), &mut ids);
             engines.push(engine);
         }
-        engines
+        (shell, engines)
     }
 
-    /// Merges finished shard engines (in shard-index order) back into one
+    /// Merges finished shard engines (in shard-index order) back into the
+    /// world `shell` they were split from, and finalizes one
     /// [`FleetReport`], bit-identical to the serial report.
     ///
     /// Arms are regrouped and [`finalize`](Self::finalize) re-sorts them
@@ -980,7 +958,7 @@ impl FleetSim {
     /// kinds sum (each is owned by one shard), the replayed tick chains
     /// ([`DUPLICATED_KINDS`](Self::DUPLICATED_KINDS)) keep shard 0's
     /// canonical count, and `events_processed` is recomputed from the
-    /// merged dispatch counts. Returns `None` only for an empty input.
+    /// merged dispatch counts.
     ///
     /// Shard profiles fold onto `base` — the dispatch counts a resumed
     /// run accrued *before* its checkpoint, which
@@ -990,30 +968,29 @@ impl FleetSim {
     /// `events_processed` still matches the uninterrupted serial run
     /// exactly.
     pub(crate) fn merge_shards_onto(
+        mut shell: FleetSim,
         base: EngineProfile,
         engines: Vec<Engine<FleetSim>>,
         horizon: SimTime,
-    ) -> Option<FleetReport> {
-        let mut engines = engines.into_iter();
-        let first = engines.next()?;
+    ) -> FleetReport {
         let mut profile = base;
-        // The first shard absorbs with nothing deduplicated: its tick
-        // chains are the canonical copies.
-        profile.absorb_shard(first.profile(), &[]);
-        let (mut world, _queue) = first.into_parts();
-        for engine in engines {
-            profile.absorb_shard(engine.profile(), Self::DUPLICATED_KINDS);
-            let (shard_world, _queue) = engine.into_parts();
-            world.arms.extend(shard_world.arms);
+        for (si, engine) in engines.into_iter().enumerate() {
+            // Shard 0 absorbs with nothing deduplicated: its tick chains
+            // are the canonical copies.
+            let duplicated = if si == 0 { &[] } else { Self::DUPLICATED_KINDS };
+            profile.absorb_shard(engine.profile(), duplicated);
+            shell.arms.extend(engine.into_world().arms);
         }
         let events = profile.total_dispatched();
-        Some(world.finalize(events, profile, horizon))
+        shell.finalize(events, profile, horizon)
     }
 
     /// Runs the configured experiment split across `shards` worker
-    /// threads. The report — and therefore its run digest — is
-    /// bit-identical to [`run`](Self::run) for every seed and every shard
-    /// count; see [`crate::shard`] for the partitioner and the argument.
+    /// threads — or serially, for fleets under
+    /// [`SERIAL_FALLBACK_DEVICES`](crate::shard::SERIAL_FALLBACK_DEVICES).
+    /// The report — and therefore its run digest — is bit-identical to
+    /// [`run`](Self::run) for every seed and every shard count; see
+    /// [`crate::shard`] for the partitioner and the argument.
     ///
     /// # Errors
     ///
@@ -1022,7 +999,8 @@ impl FleetSim {
         cfg: FleetConfig,
         shards: usize,
     ) -> Result<FleetReport, crate::shard::ShardError> {
-        crate::shard::run_sharded(cfg, shards)
+        let shards = crate::shard::auto_shards(&cfg, shards);
+        Ok(crate::Run::new(cfg).shards(shards)?.execute())
     }
 
     /// Evaluates one week for one arm: delivers readings, burns credits,

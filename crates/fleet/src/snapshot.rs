@@ -29,7 +29,7 @@
 
 use std::path::Path;
 
-use simcore::engine::{Engine, EngineCheckpoint, FaultHook};
+use simcore::engine::{Engine, EngineCheckpoint};
 use simcore::rng::Rng;
 use simcore::snapshot::{self, ByteReader, ByteWriter, SnapshotError};
 use simcore::survival::Observation;
@@ -77,27 +77,12 @@ pub struct ResumedFleet {
 }
 
 impl ResumedFleet {
-    /// The configured horizon of the resumed run.
-    pub fn horizon(&self) -> SimTime {
-        SimTime::ZERO + self.engine.world().cfg.horizon
-    }
-
-    /// Runs the restored engine to its horizon and finalizes through the
-    /// same path as [`FleetSim::run`], so the report digests bit-identically
-    /// to an uninterrupted run.
-    pub fn run_to_horizon(mut self) -> FleetReport {
-        let horizon = self.horizon();
-        self.engine.run_until(horizon);
-        FleetSim::into_report(self.engine, horizon)
-    }
-
-    /// [`run_to_horizon`](Self::run_to_horizon) with a fault hook — the
-    /// chaos crate resumes an injected run through this, wrapping the
-    /// remaining plan suffix in a fresh injector.
-    pub fn run_to_horizon_hooked<H: FaultHook<FleetSim>>(mut self, hook: &mut H) -> FleetReport {
-        let horizon = self.horizon();
-        self.engine.run_until_hooked(horizon, hook);
-        FleetSim::into_report(self.engine, horizon)
+    /// Runs the restored engine to its horizon on the calling thread, so
+    /// the report digests bit-identically to an uninterrupted run: a
+    /// one-shard [`Run::resume`](crate::Run::resume). Chaos runs resume
+    /// through [`Run`](crate::Run) with `chaos::shard_injectors` hooks.
+    pub fn run_to_horizon(self) -> FleetReport {
+        crate::Run::resume(self).execute()
     }
 }
 
@@ -188,26 +173,6 @@ pub fn write_checkpoint(
 ) -> Result<(), SnapshotError> {
     let bytes = checkpoint_bytes(engine, chaos);
     snapshot::write_atomic(path, &bytes)
-}
-
-/// Runs a plain (fault-free) simulation to the checkpoint boundary `at`
-/// and writes an atomic snapshot there, returning the engine still
-/// positioned at `at` — keep running it, or drop it and [`resume_from`]
-/// later. Chaos runs checkpoint through the `chaos` crate instead, which
-/// carries the injector's replay progress into the snapshot.
-///
-/// # Errors
-///
-/// [`SnapshotError::Io`] on any filesystem failure.
-pub fn checkpoint_run(
-    cfg: FleetConfig,
-    at: SimTime,
-    path: &Path,
-) -> Result<Engine<FleetSim>, SnapshotError> {
-    let mut engine = FleetSim::build(cfg);
-    engine.run_until(at);
-    write_checkpoint(path, &mut engine, ChaosProgress::default())?;
-    Ok(engine)
 }
 
 /// Restores a mid-run simulation from a sealed snapshot image.

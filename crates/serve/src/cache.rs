@@ -1,7 +1,7 @@
 //! Digest-addressed on-disk result cache.
 //!
-//! Completed runs are memoized under their [`request_key`]
-//! (`RunSpec::request_key`) in one file per entry,
+//! Completed runs are memoized under their
+//! [`request_key`](crate::RunSpec::request_key) in one file per entry,
 //! `<dir>/<key:016x>.run`, wrapped in the same versioned, checksummed
 //! frame as world snapshots ([`simcore::snapshot::seal`]) — so every
 //! read re-verifies the FNV-1a trailer and a torn, truncated or

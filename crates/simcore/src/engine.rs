@@ -63,7 +63,7 @@ const PROFILE_SAMPLE_EVERY: u64 = 1024;
 /// deterministic world. [`handler_nanos`](Self::handler_nanos) and
 /// `run_nanos` are wall-clock and vary run to run — they are **excluded
 /// from run digests** by contract (DESIGN.md §6). Handler time is
-/// *sampled* (every [`PROFILE_SAMPLE_EVERY`]th dispatch) so profiling
+/// *sampled* (every `PROFILE_SAMPLE_EVERY`th dispatch, 1024) so profiling
 /// costs two clock reads per ~thousand events instead of per event; see
 /// DESIGN.md §7 for the contract.
 #[derive(Clone, Debug, Default)]
@@ -114,7 +114,7 @@ impl EngineProfile {
     }
 
     /// Number of dispatches whose handler time was measured (one per
-    /// [`PROFILE_SAMPLE_EVERY`] dispatches, starting with the first).
+    /// `PROFILE_SAMPLE_EVERY` = 1024 dispatches, starting with the first).
     pub fn handler_samples(&self) -> u64 {
         self.handler_samples
     }
@@ -336,8 +336,10 @@ pub trait FaultHook<W: World> {
     fn fire(&mut self, now: SimTime, world: &mut W, ctx: &mut Ctx<'_, W::Event>);
 }
 
-/// A no-op hook used by the unhooked entry points.
-struct NoFaults;
+/// The no-op hook: no faults, ever. The unhooked entry points run under
+/// it, and so does a `fleet::Run` given no hook factory.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NoFaults;
 
 impl<W: World> FaultHook<W> for NoFaults {
     fn next_fault_at(&self) -> Option<SimTime> {
@@ -381,8 +383,8 @@ impl<W: World> Engine<W> {
 
     /// Creates an engine at time zero reusing `queue`'s allocations — the
     /// replicate-worker fast path, which recycles one queue across seeds
-    /// instead of reallocating per run. The queue is [`reset`]
-    /// (`EventQueue::reset`), so any event ids issued before the handoff
+    /// instead of reallocating per run. The queue is
+    /// [reset](EventQueue::reset), so any event ids issued before the handoff
     /// are invalidated and must be dropped.
     pub fn new_with_queue(world: W, mut queue: EventQueue<W::Event>) -> Self {
         queue.reset();

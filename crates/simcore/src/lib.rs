@@ -15,6 +15,8 @@
 //! * [`stats`], [`quantile`], [`survival`], [`series`] — single-pass
 //!   statistics, the P² streaming quantile, Kaplan–Meier survival curves,
 //!   and time-series recording for figures.
+//! * [`fanout`] — the one scoped fan-out of owned jobs over worker
+//!   threads, with deterministic lowest-index panic reporting.
 //! * [`trace`] — the structured "experimental diary" the paper commits to
 //!   publishing (§4.5).
 //! * [`snapshot`] — the versioned, checksummed binary substrate for
@@ -70,6 +72,7 @@ pub mod dist;
 pub mod engine;
 pub mod error;
 pub mod event;
+pub mod fanout;
 pub mod quantile;
 pub mod rng;
 pub mod series;

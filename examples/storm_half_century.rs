@@ -10,8 +10,15 @@
 //! cargo run --release --example storm_half_century
 //! ```
 
-use chaos::FaultPlanBuilder;
-use fleet::sim::FleetConfig;
+use chaos::{shard_injectors, FaultPlan, FaultPlanBuilder};
+use fleet::sim::{FleetConfig, FleetReport};
+use fleet::snapshot::ChaosProgress;
+use fleet::Run;
+
+/// A fresh run of `cfg` under `plan`.
+fn run_with_plan(cfg: FleetConfig, plan: &FaultPlan) -> FleetReport {
+    Run::new(cfg).hooks(shard_injectors(plan, ChaosProgress::default())).execute()
+}
 
 fn main() {
     let seed = 2021;
@@ -33,7 +40,7 @@ fn main() {
             // simlint: allow(P001, demo binary; intensities are in [0,1] by construction)
             .expect("intensities are in [0,1] by construction");
         let n_faults = plan.len();
-        let report = chaos::run_with_plan(cfg.clone(), plan);
+        let report = run_with_plan(cfg.clone(), &plan);
 
         let uptimes: Vec<f64> = report.arms.iter().map(|a| a.uptime()).collect();
         for (i, arm) in report.arms.iter().enumerate() {
@@ -61,7 +68,7 @@ fn main() {
     #[allow(clippy::expect_used)]
     // simlint: allow(P001, demo binary; 1.0 is a valid intensity)
     let plan = builder.build(&cfg, 1.0).expect("valid intensity");
-    let report = chaos::run_with_plan(cfg, plan);
+    let report = run_with_plan(cfg, &plan);
     println!("first chaos entries of the full-intensity diary:");
     for line in report
         .diary

@@ -1,6 +1,6 @@
 //! Time travel: rewind a fifty-year run to just before a storm hits.
 //!
-//! The snapshot layer (`fleet::snapshot` + `chaos::checkpoint_with_plan`)
+//! The snapshot layer (`fleet::snapshot`, resumed through `fleet::Run`)
 //! makes a mid-run checkpoint a first-class artifact: a sealed,
 //! checksummed file that rebuilds the *exact* simulation state — clock,
 //! pending events, every rng stream, wallets, wear, diaries, chaos replay
@@ -21,10 +21,26 @@
 //! cargo run --release --example time_travel
 //! ```
 
-use chaos::{FaultKind, FaultPlanBuilder};
-use fleet::sim::FleetConfig;
-use fleet::sim::FleetSim;
+use chaos::{shard_injectors, FaultKind, FaultPlan, FaultPlanBuilder, FleetInjector};
+use fleet::sim::{FleetConfig, FleetReport, FleetSim};
+use fleet::snapshot::{self, ChaosProgress, ResumedFleet};
+use fleet::Run;
 use simcore::time::{SimDuration, SimTime};
+
+/// Restores the snapshot at `path`, written under `cfg`.
+#[allow(clippy::expect_used)]
+fn restore(path: &std::path::Path, cfg: FleetConfig) -> ResumedFleet {
+    snapshot::resume_from(path, cfg)
+        // simlint: allow(P001, demo binary; the snapshot was just written)
+        .expect("the snapshot was just written")
+}
+
+/// Continues a restored run to its horizon under the full `plan`, which
+/// picks up where the stored replay progress left off.
+fn replay(resumed: ResumedFleet, plan: &FaultPlan) -> FleetReport {
+    let progress = resumed.chaos;
+    Run::resume(resumed).hooks(shard_injectors(plan, progress)).execute()
+}
 
 fn main() {
     let seed = 2021;
@@ -35,7 +51,7 @@ fn main() {
     let plan = builder.build(&cfg(), 1.0).expect("1.0 is a valid intensity");
 
     // --- Act 1: the uninterrupted timeline. -----------------------------
-    let baseline = chaos::run_with_plan(cfg(), plan.clone());
+    let baseline = Run::new(cfg()).hooks(shard_injectors(&plan, ChaosProgress::default())).execute();
     println!("=== uninterrupted storm-heavy run (seed {seed}) ===");
     println!(
         "  {} faults planned, digest {:016x}, {} events",
@@ -60,10 +76,13 @@ fn main() {
 
     // --- Act 2: checkpoint before the storm, then crash. ----------------
     let snap = std::env::temp_dir().join(format!("time-travel-seed{seed}.snap"));
-    let live = chaos::checkpoint_with_plan(cfg(), plan.clone(), rewind_point, &snap);
+    let mut engine = FleetSim::build(cfg());
+    let mut injector = FleetInjector::new(plan.clone());
+    engine.run_until_hooked(rewind_point, &mut injector);
     #[allow(clippy::expect_used)]
-    // simlint: allow(P001, demo binary; temp dir is writable)
-    let (engine, injector) = live.expect("checkpoint writes to the temp dir");
+    snapshot::write_checkpoint(&snap, &mut engine, injector.progress())
+        // simlint: allow(P001, demo binary; temp dir is writable)
+        .expect("checkpoint writes to the temp dir");
     println!("=== checkpoint at week {} ===", storm_week.saturating_sub(1));
     println!(
         "  {} of {} faults already replayed, {} bytes on disk at {}",
@@ -81,10 +100,7 @@ fn main() {
     // --- Act 3: resume and replay the storm, twice. ---------------------
     println!("=== replaying the storm from the snapshot ===");
     for attempt in 1..=2 {
-        #[allow(clippy::expect_used)]
-        let report = chaos::resume_with_plan(&snap, cfg(), plan.clone())
-            // simlint: allow(P001, demo binary; the snapshot was just written)
-            .expect("the snapshot was just written");
+        let report = replay(restore(&snap, cfg()), &plan);
         let identical = report.digest() == baseline.digest();
         println!(
             "  replay {attempt}: digest {:016x}, {} events — {}",
@@ -97,17 +113,13 @@ fn main() {
 
     // What the rewound week actually contains: the diary lines around the
     // storm, straight from a resumed run.
-    #[allow(clippy::expect_used)]
-    let resumed = FleetSim::resume_from(&snap, cfg())
-        // simlint: allow(P001, demo binary; the snapshot was just written)
-        .expect("the snapshot was just written");
+    let resumed = restore(&snap, cfg());
     println!(
         "\n  resumed clock: week {} (sim time {} s)",
         resumed.engine.now().as_secs() / SimDuration::from_weeks(1).as_secs(),
         resumed.engine.now().as_secs()
     );
-    let mut injector = chaos::FleetInjector::with_progress(plan.clone(), resumed.chaos);
-    let report = resumed.run_to_horizon_hooked(&mut injector);
+    let report = replay(resumed, &plan);
     println!("  diary entries for the storm and its aftermath:");
     for line in report
         .diary

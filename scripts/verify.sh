@@ -27,6 +27,9 @@ cargo run -q --release --example quickstart > /dev/null
 echo "== lint gate (clippy, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== doc links (a renamed or deleted item must not survive in a doc link) =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps -q
+
 echo "== simlint v2 (determinism flow rules R001-R004 + lexical rules, DESIGN.md §8, §15) =="
 # Baseline-gated: any finding NOT in target/simlint-baseline.json exits 1
 # and fails verify. The shipped tree is clean, so the baseline is normally
@@ -42,7 +45,7 @@ echo "== bench smoke (1 replicate; also asserts serial == parallel digests) =="
 ./target/release/throughput --replicates 1 --threads 1 --passes 1 \
   --out target/bench_smoke.json > /dev/null
 
-echo "== sharded smoke (one seed; binary exits 1 unless serial == sharded digest) =="
+echo "== sharded smoke (one seed; binary exits 1 unless serial == literal 4-shard digest) =="
 ./target/release/throughput --replicates 1 --threads 1 --passes 1 \
   --shards 4 --scale-devices 2000 \
   --out target/bench_sharded_smoke.json > /dev/null

@@ -251,16 +251,31 @@ fn shutdown_op_drains_gracefully_and_refuses_new_work() {
     // Queue real work, then shut down before reading its result.
     worker_client.send("{\"op\":\"run\",\"seed\":31,\"years\":200}").expect("send run");
 
+    // Shut down only once the run is admitted: queued, on the worker, or
+    // already executed. Sending `shutdown` straight away races the run's
+    // connection thread, and a shutdown that wins refuses the run.
     let mut admin = connect(&server);
+    let started = Instant::now();
+    loop {
+        let stats = match admin.call("{\"op\":\"stats\"}").expect("transport holds") {
+            (_, Response::Result(obj)) => obj,
+            (_, other) => panic!("expected stats, got {other:?}"),
+        };
+        let gauge = |name: &str| stats.f64_field(name).unwrap_or(0.0);
+        let executed = stats.u64_field("serve.executed").unwrap_or(0);
+        if gauge("serve.workers.busy") > 0.0 || gauge("serve.queue.depth") > 0.0 || executed > 0 {
+            break;
+        }
+        assert!(started.elapsed() < Duration::from_secs(30), "the run was never admitted");
+        std::thread::sleep(Duration::from_millis(2));
+    }
     match admin.call("{\"op\":\"shutdown\"}").expect("transport holds") {
         (_, Response::Result(obj)) => assert_eq!(obj.str_field("op"), Some("shutdown")),
         (_, other) => panic!("expected shutdown ack, got {other:?}"),
     }
 
-    // The in-flight run drains to completion: the client that submitted
-    // it still gets its digest (or, at worst, a typed shutting_down if
-    // the request had not been admitted yet — but we gave it a head
-    // start, so it must have been).
+    // The admitted run drains to completion: the client that submitted
+    // it still gets its digest.
     match worker_client.read().expect("transport holds") {
         Response::Result(obj) => {
             assert!(obj.u64_field("digest").is_some(), "drained run must return its digest");
