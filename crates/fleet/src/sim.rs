@@ -25,7 +25,7 @@
 //! availability factor computed by the `energy` crate offline (E12 covers
 //! the fine-grained energy dynamics).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use backhaul::helium::HotspotPopulation;
 use econ::credits::{Wallet, WalletColumn};
@@ -47,6 +47,61 @@ use crate::cloud::CloudEndpoint;
 use crate::device::{DeviceSpec, DeviceState, EnergySystem};
 use crate::gateway::{GatewaySpec, GatewayState};
 use crate::store::DeviceStore;
+
+/// Distinct lifetime tables kept by [`lifetime_table`]; past it, tables
+/// are tabulated per call and not kept.
+const LIFETIME_MEMO_CAP: usize = 16;
+
+/// `(energy system, environment and t_max bit patterns)`: everything the
+/// lifetime table is a function of.
+type LifetimeKey = (EnergySystem, [u64; 8]);
+
+/// Lifetime tables tabulated so far in this process, in first-use order.
+/// Each value is a pure function of its key, so which thread inserts
+/// first cannot move any draw.
+static LIFETIME_TABLES: Mutex<Vec<(LifetimeKey, Arc<InverseCdf>)>> = Mutex::new(Vec::new());
+
+/// The 4,097-knot inverse lifetime CDF of a device archetype in `env`
+/// over `[0, t_max]` years, tabulated once per process per key (every
+/// arm of every cohort-mode build otherwise re-tabulates the same table).
+fn lifetime_table(energy: EnergySystem, env: &bom::Environment, t_max: f64) -> Arc<InverseCdf> {
+    let key: LifetimeKey = (
+        energy,
+        [
+            env.enclosure_c.to_bits(),
+            env.climate.daily_swing_c.to_bits(),
+            env.climate.annual_swing_c.to_bits(),
+            env.climate.n_ref.to_bits(),
+            env.climate.dt_ref_c.to_bits(),
+            env.climate.exponent.to_bits(),
+            env.external_mttf_years.to_bits(),
+            t_max.to_bits(),
+        ],
+    );
+    // Every update is a single push of a finished entry, so a lock
+    // poisoned by a panicking holder still guards a valid memo.
+    let mut tables = LIFETIME_TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, table)) = tables.iter().find(|(k, _)| *k == key) {
+        return Arc::clone(table);
+    }
+    let table = Arc::new(tabulate_lifetimes(energy, env, t_max));
+    if tables.len() < LIFETIME_MEMO_CAP {
+        tables.push((key, Arc::clone(&table)));
+    }
+    table
+}
+
+/// Tabulates the inverse lifetime CDF behind [`lifetime_table`].
+fn tabulate_lifetimes(energy: EnergySystem, env: &bom::Environment, t_max: f64) -> InverseCdf {
+    let block = match energy {
+        EnergySystem::Harvesting => bom::harvesting_node(env),
+        EnergySystem::Battery => bom::battery_node(env),
+    };
+    #[allow(clippy::expect_used)]
+    InverseCdf::tabulate(|t| 1.0 - block.survival(t), t_max, 4096)
+        // simlint: allow(P001, the survival product is finite and non-increasing by construction)
+        .expect("lifetime CDF is finite and monotone")
+}
 
 /// Infrastructure flavour of an experiment arm.
 #[derive(Clone, Debug)]
@@ -669,17 +724,10 @@ impl FleetSim {
     /// draws for every arm-level summary statistic, and two orders of
     /// magnitude cheaper than a million `sample_ttf` min-of-three calls.
     fn cohort_death_times(cfg: &FleetConfig, arm_cfg: &ArmConfig, arm_rng: &Rng) -> Vec<SimTime> {
-        let block = match arm_cfg.device_spec.energy {
-            EnergySystem::Harvesting => bom::harvesting_node(&cfg.env),
-            EnergySystem::Battery => bom::battery_node(&cfg.env),
-        };
         // Tabulate past the horizon: clamped mass beyond t_max belongs to
         // devices that outlive the run either way.
         let t_max = 200.0_f64.max(cfg.horizon.as_years_f64() * 2.0);
-        #[allow(clippy::expect_used)]
-        let table = InverseCdf::tabulate(|t| 1.0 - block.survival(t), t_max, 4096)
-            // simlint: allow(P001, the survival product is finite and non-increasing by construction)
-            .expect("lifetime CDF is finite and monotone");
+        let table = lifetime_table(arm_cfg.device_spec.energy, &cfg.env, t_max);
         let mut death_rng = arm_rng.split("deaths", 0);
         sorted_uniforms(arm_cfg.devices, &mut death_rng)
             .into_iter()
@@ -1880,6 +1928,55 @@ impl World for FleetSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `Debug` prints every `f64` in shortest round-trip form, so equal
+    /// renderings are equal bits.
+    fn bits(table: &InverseCdf) -> String {
+        format!("{table:?}")
+    }
+
+    #[test]
+    fn memoized_lifetime_table_equals_a_fresh_tabulation() {
+        let env = bom::Environment::default();
+        let battery = lifetime_table(EnergySystem::Battery, &env, 200.0);
+        let harvesting = lifetime_table(EnergySystem::Harvesting, &env, 200.0);
+        let again = lifetime_table(EnergySystem::Battery, &env, 200.0);
+        let fresh = tabulate_lifetimes(EnergySystem::Battery, &env, 200.0);
+        assert_eq!(bits(&battery), bits(&fresh));
+        assert_eq!(bits(&again), bits(&fresh));
+        assert_ne!(bits(&harvesting), bits(&fresh), "keys must not collide");
+        let hot = bom::Environment { enclosure_c: 70.0, ..env };
+        assert_eq!(
+            bits(&lifetime_table(EnergySystem::Battery, &hot, 200.0)),
+            bits(&tabulate_lifetimes(EnergySystem::Battery, &hot, 200.0)),
+        );
+        assert_ne!(bits(&lifetime_table(EnergySystem::Battery, &hot, 200.0)), bits(&fresh));
+    }
+
+    #[test]
+    fn second_aggregate_build_digests_like_the_first() {
+        let cfg = || FleetConfig::paper_experiment(11).with_sampling(SamplingMode::Aggregate);
+        let first = FleetSim::run(cfg());
+        let second = FleetSim::run(cfg());
+        assert_eq!(first.digest(), second.digest());
+    }
+
+    #[test]
+    fn lifetime_memo_stops_growing_at_its_cap() {
+        // Distinct t_max values are distinct keys; this test alone asks
+        // for more than the cap, whatever other tests have memoized.
+        let env = bom::Environment::default();
+        for i in 0..=LIFETIME_MEMO_CAP {
+            let t_max = 500.0 + i as f64;
+            let table = lifetime_table(EnergySystem::Harvesting, &env, t_max);
+            assert_eq!(
+                bits(&table),
+                bits(&tabulate_lifetimes(EnergySystem::Harvesting, &env, t_max))
+            );
+        }
+        let len = LIFETIME_TABLES.lock().unwrap_or_else(PoisonError::into_inner).len();
+        assert_eq!(len, LIFETIME_MEMO_CAP);
+    }
 
     #[test]
     fn paper_experiment_runs_to_horizon() {

@@ -98,7 +98,10 @@ pub fn config_fingerprint(cfg: &FleetConfig) -> u64 {
     w.put_u64(cfg.horizon.as_secs());
     w.put_u8(match cfg.sampling {
         SamplingMode::Legacy => 0,
-        SamplingMode::Aggregate => 1,
+        // Tag 1 was aggregate sampling under the per-trial / rounded-normal
+        // binomial sampler; its checkpoints and cached results must now
+        // fail closed rather than resume or serve under the exact sampler.
+        SamplingMode::Aggregate => 3,
         #[cfg(feature = "reference-mode")]
         SamplingMode::Reference => 2,
     });

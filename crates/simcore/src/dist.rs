@@ -10,7 +10,7 @@
 //!
 //! * lifetimes and hazards — [`Exponential`], [`Weibull`], [`LogNormal`]
 //! * measurement noise and service times — [`Normal`], [`Uniform`]
-//! * event counts — [`Poisson`], [`Geometric`], [`Bernoulli`]
+//! * event counts — [`Poisson`], [`Geometric`], [`Bernoulli`], [`Binomial`]
 //! * heavy-tailed populations (AS sizes, hotspot ownership) — [`Zipf`],
 //!   [`Pareto`]
 //! * arbitrary categorical draws — [`Discrete`] (Walker alias table)
@@ -528,13 +528,24 @@ impl Empirical {
 ///
 /// This is the cohort-sampling primitive for population-level aggregate
 /// simulation: instead of one draw per device per week, one binomial draw
-/// yields a whole cohort's delivered-packet total. Sampling is exact
-/// (per-trial) up to [`Binomial::EXACT_TRIALS`] trials and switches to a
-/// clamped, rounded normal approximation above — the same approximation
-/// the per-device weekly path has always used for its 168-report weeks,
-/// so the aggregate path's totals match the legacy path's in
-/// distribution. The output is a pure function of the consumed uniforms;
-/// the moment properties are pinned by `tests/properties.rs`.
+/// yields a whole cohort's delivered-packet total.
+///
+/// Sampling is exact at every `n` (up to `2^53`, where `n` stops being an
+/// exact `f64`) with O(1) expected cost, after Kachitvichyanukul &
+/// Schmeiser, "Binomial random variate generation" (CACM 31(2), 1988):
+///
+/// * the draw is made on `min(p, 1-p)` and mirrored (`n - x`) when
+///   `p > ½`;
+/// * **BINV** — sequential inversion of the CDF from 0 — when
+///   `n·min(p, 1-p) < 10`, costing one uniform and about `n·p` steps;
+/// * **BTPE** — triangle/parallelogram/exponential-tail rejection with
+///   squeezes — otherwise, costing about two uniforms per draw whatever
+///   `n`.
+///
+/// The output is a pure function of the consumed uniforms, so equal
+/// [`Rng`] states give equal draws. Goodness of fit against the exact pmf
+/// is pinned by this module's tests; the moment properties by
+/// `tests/properties.rs`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Binomial {
     n: u64,
@@ -542,11 +553,6 @@ pub struct Binomial {
 }
 
 impl Binomial {
-    /// Trial-count ceiling for the exact per-trial sampler; above it the
-    /// normal approximation is used (`n·p·(1-p)` is then large enough for
-    /// the CLT error to be far below the simulation's weekly granularity).
-    pub const EXACT_TRIALS: u64 = 1024;
-
     /// Creates a binomial over `n` trials with success probability
     /// `p ∈ [0,1]`.
     pub fn new(n: u64, p: f64) -> Result<Self, ParamError> {
@@ -564,25 +570,17 @@ impl Binomial {
         if self.p >= 1.0 {
             return self.n;
         }
-        if self.n <= Self::EXACT_TRIALS {
-            let mut hits = 0;
-            for _ in 0..self.n {
-                if rng.chance(self.p) {
-                    hits += 1;
-                }
-            }
-            return hits;
-        }
-        let mean = self.n as f64 * self.p;
-        let sd = (self.n as f64 * self.p * (1.0 - self.p)).sqrt();
-        let z = standard_normal(rng);
-        let x = (mean + sd * z).round();
-        if x <= 0.0 {
-            0
-        } else if x >= self.n as f64 {
-            self.n
+        let flip = self.p > 0.5;
+        let p = if flip { 1.0 - self.p } else { self.p };
+        let x = if binv_regime(self.n, p) {
+            binv(self.n, p, rng)
         } else {
-            x as u64
+            btpe(self.n, p, rng)
+        };
+        if flip {
+            self.n - x
+        } else {
+            x
         }
     }
 
@@ -594,6 +592,167 @@ impl Binomial {
     /// The distribution variance, `n·p·(1-p)`.
     pub fn variance(&self) -> f64 {
         self.n as f64 * self.p * (1.0 - self.p)
+    }
+}
+
+/// Whether a binomial over `n` trials at `p ≤ ½` is drawn by inversion:
+/// below a mean of 10 inversion needs few steps, and BTPE's envelope
+/// degenerates (its triangle half-width goes negative once `n·p·q` falls
+/// below about 4.4), whatever `n`.
+fn binv_regime(n: u64, p: f64) -> bool {
+    n as f64 * p < 10.0
+}
+
+/// BINV: walks the CDF up from 0 by the pmf ratio
+/// `f(x)/f(x-1) = (n+1)·s/x − s`, `s = p/q`, until it passes one uniform.
+/// `q^n` is taken as `exp(n·ln(1−p))` so no integer power caps `n`.
+/// Rounding can leave the summed pmf a hair below `u`; a walk past `n`
+/// (or past 110, a tail below 1e-60 when `n·p < 10`) restarts with a
+/// fresh uniform rather than return an impossible count.
+fn binv(n: u64, p: f64, rng: &mut Rng) -> u64 {
+    const MAX_X: u64 = 110;
+    let s = p / (1.0 - p);
+    let a = (n as f64 + 1.0) * s;
+    let r0 = (n as f64 * (-p).ln_1p()).exp();
+    let cap = n.min(MAX_X);
+    'draw: loop {
+        let mut r = r0;
+        let mut u = rng.next_f64();
+        let mut x = 0;
+        while u > r {
+            u -= r;
+            x += 1;
+            if x > cap {
+                continue 'draw;
+            }
+            r *= a / x as f64 - s;
+        }
+        return x;
+    }
+}
+
+/// BTPE for `p ≤ ½` and `n·p ≥ 10`. The envelope over the pmf (as a step
+/// function of continuous `x`, `y = ⌊x⌋`) is a triangle at the mode
+/// (accepted outright), two parallelograms, and two exponential tails; a
+/// candidate outside the triangle is accepted against `f(y)/f(m)`, by the
+/// ratio recursion near the mode and by a normal-approximation squeeze
+/// with a Stirling-corrected final test far from it. The final test uses
+/// the signs of the GSL implementation, which its authors confirmed with
+/// the algorithm's designers.
+fn btpe(n: u64, p: f64, rng: &mut Rng) -> u64 {
+    // Candidates within this distance of the mode are evaluated by the
+    // ratio recursion rather than the squeeze.
+    const SQUEEZE_THRESHOLD: i64 = 20;
+
+    // Step 0: constants of (n, p).
+    let nf = n as f64;
+    let q = 1.0 - p;
+    let np = nf * p;
+    let npq = np * q;
+    let f_m = np + p;
+    let m = f_m.floor() as i64;
+    let mf = m as f64;
+    // Triangle half-width, apex and edges.
+    let p1 = (2.195 * npq.sqrt() - 4.6 * q).floor() + 0.5;
+    let x_m = mf + 0.5;
+    let x_l = x_m - p1;
+    let x_r = x_m + p1;
+    let c = 0.134 + 20.5 / (15.3 + mf);
+    let lambda = |a: f64| a * (1.0 + 0.5 * a);
+    let lambda_l = lambda((f_m - x_l) / (f_m - x_l * p));
+    let lambda_r = lambda((x_r - f_m) / (x_r * q));
+    // Cumulative region areas: triangle, + parallelograms, + left tail,
+    // + right tail.
+    let p2 = p1 * (1.0 + 2.0 * c);
+    let p3 = p2 + c / lambda_l;
+    let p4 = p3 + c / lambda_r;
+    let s = p / q;
+    let a = s * (nf + 1.0);
+
+    loop {
+        // Step 1: pick a region; the triangle accepts at once.
+        let u = rng.next_f64() * p4;
+        let mut v = rng.next_f64_open();
+        let y: i64;
+        if u <= p1 {
+            return (x_m - p1 * v + u).floor() as u64;
+        } else if u <= p2 {
+            // Step 2: parallelograms.
+            let x = x_l + (u - p1) / c;
+            v = v * c + 1.0 - (x - x_m).abs() / p1;
+            if v > 1.0 {
+                continue;
+            }
+            y = x.floor() as i64;
+        } else if u <= p3 {
+            // Step 3: left exponential tail.
+            y = (x_l + v.ln() / lambda_l).floor() as i64;
+            if y < 0 {
+                continue;
+            }
+            v *= (u - p2) * lambda_l;
+        } else {
+            // Step 4: right exponential tail.
+            y = (x_r - v.ln() / lambda_r).floor() as i64;
+            if y as f64 > nf {
+                continue;
+            }
+            v *= (u - p3) * lambda_r;
+        }
+
+        // Step 5.1: near the mode (or far out in a narrow pmf), evaluate
+        // f(y)/f(m) exactly by the ratio recursion.
+        let k = (y - m).abs();
+        if k <= SQUEEZE_THRESHOLD || k as f64 >= 0.5 * npq - 1.0 {
+            let mut f = 1.0;
+            if m < y {
+                for i in m + 1..=y {
+                    f *= a / i as f64 - s;
+                }
+            } else {
+                for i in y + 1..=m {
+                    f /= a / i as f64 - s;
+                }
+            }
+            if v <= f {
+                return y as u64;
+            }
+            continue;
+        }
+
+        // Step 5.2: squeeze ln v against bounds on ln(f(y)/f(m)).
+        let kf = k as f64;
+        let rho = (kf / npq) * ((kf * (kf / 3.0 + 0.625) + 1.0 / 6.0) / npq + 0.5);
+        let t = -0.5 * kf * kf / npq;
+        let alpha = v.ln();
+        if alpha < t - rho {
+            return y as u64;
+        }
+        if alpha > t + rho {
+            continue;
+        }
+
+        // Step 5.3: final test against ln(f(y)/f(m)) with Stirling
+        // corrections.
+        let yf = y as f64;
+        let x1 = yf + 1.0;
+        let f1 = mf + 1.0;
+        let z = nf + 1.0 - mf;
+        let w = nf - yf + 1.0;
+        let stirling = |a: f64| {
+            let a2 = a * a;
+            (13860.0 - (462.0 - (132.0 - (99.0 - 140.0 / a2) / a2) / a2) / a2) / a / 166_320.0
+        };
+        let bound = x_m * (f1 / x1).ln()
+            + (nf - mf + 0.5) * (z / w).ln()
+            + (yf - mf) * (w * p / (x1 * q)).ln()
+            + stirling(f1)
+            + stirling(z)
+            - stirling(x1)
+            - stirling(w);
+        if alpha <= bound {
+            return y as u64;
+        }
     }
 }
 
@@ -964,28 +1123,111 @@ mod tests {
         assert!(Empirical::new(&[1.0, f64::NAN], false).is_err());
     }
 
-    #[test]
-    fn binomial_exact_regime_moments() {
-        let d = Binomial::new(168, 0.95).unwrap();
-        let mut r = rng();
-        let n = 50_000;
-        let xs: Vec<f64> = (0..n).map(|_| d.sample(&mut r) as f64).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - d.mean()).abs() < 0.05, "mean {mean} vs {}", d.mean());
-        assert!((var - d.variance()).abs() < 0.3, "var {var} vs {}", d.variance());
+    /// `ln Γ(x)` for `x ≥ 1`: shifted up past 20, then Stirling's series
+    /// — independent of the samplers' pmf-ratio recursion.
+    fn ln_gamma(mut x: f64) -> f64 {
+        let mut shift = 0.0;
+        while x < 20.0 {
+            shift -= x.ln();
+            x += 1.0;
+        }
+        let x2 = x * x;
+        let series = 1.0 / (12.0 * x) - 1.0 / (360.0 * x * x2) + 1.0 / (1260.0 * x * x2 * x2)
+            - 1.0 / (1680.0 * x * x2 * x2 * x2);
+        shift + (x - 0.5) * x.ln() - x + 0.5 * (2.0 * std::f64::consts::PI).ln() + series
+    }
+
+    /// The exact Binomial(n, p) pmf, evaluated in log space.
+    fn binomial_pmf(n: u64, p: f64, k: u64) -> f64 {
+        let (nf, kf) = (n as f64, k as f64);
+        (ln_gamma(nf + 1.0) - ln_gamma(kf + 1.0) - ln_gamma(nf - kf + 1.0)
+            + kf * p.ln()
+            + (nf - kf) * (-p).ln_1p())
+        .exp()
+    }
+
+    /// Pearson's chi-square of `draws` samples against the exact pmf, with
+    /// adjacent outcomes pooled until each bin expects at least 10, over
+    /// a ±12σ window (the mass outside it is below 1e-30). Returns the
+    /// statistic and its degrees of freedom.
+    fn binomial_chi_square(n: u64, p: f64, draws: usize, rng: &mut Rng) -> (f64, usize) {
+        let d = Binomial::new(n, p).unwrap();
+        let sd = d.variance().sqrt();
+        let lo = (d.mean() - 12.0 * sd - 20.0).max(0.0) as u64;
+        let hi = ((d.mean() + 12.0 * sd + 20.0) as u64).min(n);
+        let mut observed = vec![0u64; (hi - lo + 1) as usize];
+        for _ in 0..draws {
+            let x = d.sample(rng);
+            assert!(x <= n, "n={n} p={p}: draw {x} exceeds n");
+            observed[(x.clamp(lo, hi) - lo) as usize] += 1;
+        }
+        let pmf: Vec<f64> = (lo..=hi).map(|k| binomial_pmf(n, p, k)).collect();
+        // At n ~ 1e9, ln Γ(n+1) ~ 2e10 carries ~1e-5 absolute rounding, so
+        // the window's mass is 1 to about that; far below what 1e5 draws
+        // can resolve.
+        let mass: f64 = pmf.iter().sum();
+        assert!((mass - 1.0).abs() < 1e-4, "n={n} p={p}: window mass {mass}");
+        let mut bins: Vec<(f64, f64)> = Vec::new();
+        let (mut e, mut o) = (0.0, 0.0);
+        for (pk, &ok) in pmf.iter().zip(&observed) {
+            e += pk / mass * draws as f64;
+            o += ok as f64;
+            if e >= 10.0 {
+                bins.push((e, o));
+                (e, o) = (0.0, 0.0);
+            }
+        }
+        match bins.last_mut() {
+            Some(last) => {
+                last.0 += e;
+                last.1 += o;
+            }
+            None => bins.push((e, o)),
+        }
+        let stat = bins.iter().map(|(e, o)| (o - e) * (o - e) / e).sum();
+        (stat, bins.len() - 1)
     }
 
     #[test]
-    fn binomial_normal_regime_moments() {
-        let d = Binomial::new(100_000, 0.9).unwrap();
+    fn binomial_matches_exact_pmf_across_regimes() {
+        // (n, p, drawn by inversion). The grid covers BINV, BTPE with a
+        // narrow (ratio-recursion) and a wide (squeeze) pmf, the p > ½
+        // mirror, n ∈ {1}, n around the retired 1024-trial boundary, and
+        // n beyond i32::MAX. BTPE's tails are exercised by every wide case.
+        let grid: [(u64, f64, bool); 20] = [
+            (1, 0.3, true),
+            (1, 0.7, true),
+            (9, 0.5, true),
+            (30, 0.3, true),
+            (168, 0.03, true),
+            (168, 0.97, true),
+            (871, 0.99, true),
+            (40, 0.3, false),
+            (200, 0.06, false),
+            (168, 0.75, false),
+            (1023, 0.95, false),
+            (1024, 0.95, false),
+            (1025, 0.95, false),
+            (1024, 0.5, false),
+            (5_000, 0.8, false),
+            (100_000, 0.4, false),
+            (1_000_000, 0.9, false),
+            ((1 << 31) + 1, 0.5, false),
+            (3_000_000_000, 0.25, false),
+            (3_000_000_000, 1e-9, true),
+        ];
+        const DRAWS: usize = 100_000;
+        // Upper 1e-6 point of N(0,1): a correct sampler trips one case in
+        // a million; a biased pmf shifts the statistic by O(DRAWS).
+        const Z: f64 = 4.753;
         let mut r = rng();
-        let n = 20_000;
-        let xs: Vec<f64> = (0..n).map(|_| d.sample(&mut r) as f64).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        assert!((mean - d.mean()).abs() < 2.0, "mean {mean} vs {}", d.mean());
-        for x in xs {
-            assert!((0.0..=100_000.0).contains(&x));
+        for (n, p, inverted) in grid {
+            assert_eq!(binv_regime(n, p.min(1.0 - p)), inverted, "n={n} p={p}: regime");
+            let (stat, df) = binomial_chi_square(n, p, DRAWS, &mut r);
+            // Wilson–Hilferty quantile of chi-square(df).
+            let h = 2.0 / (9.0 * df as f64);
+            let crit = df as f64 * (1.0 - h + Z * h.sqrt()).powi(3);
+            assert!(stat < crit, "n={n} p={p}: chi-square {stat:.1} on {df} df (crit {crit:.1})");
         }
     }
 
@@ -993,25 +1235,28 @@ mod tests {
     fn binomial_edge_cases() {
         let mut r = rng();
         assert_eq!(Binomial::new(0, 0.5).unwrap().sample(&mut r), 0);
+        assert_eq!(Binomial::new(0, 1.0).unwrap().sample(&mut r), 0);
         assert_eq!(Binomial::new(10, 0.0).unwrap().sample(&mut r), 0);
         assert_eq!(Binomial::new(10, 1.0).unwrap().sample(&mut r), 10);
+        assert_eq!(Binomial::new(u64::MAX, 1.0).unwrap().sample(&mut r), u64::MAX);
         assert!(Binomial::new(10, -0.1).is_err());
         assert!(Binomial::new(10, 1.1).is_err());
         assert!(Binomial::new(10, f64::NAN).is_err());
     }
 
     #[test]
-    fn binomial_deterministic_per_seed() {
-        let d = Binomial::new(5000, 0.3).unwrap();
-        let a: Vec<u64> = {
-            let mut r = rng();
-            (0..32).map(|_| d.sample(&mut r)).collect()
-        };
-        let b: Vec<u64> = {
-            let mut r = rng();
-            (0..32).map(|_| d.sample(&mut r)).collect()
-        };
-        assert_eq!(a, b);
+    fn binomial_same_rng_state_gives_same_draw() {
+        // One case per regime and mirror: equal states draw equal values
+        // and consume equal uniforms.
+        let mut r = rng();
+        for (n, p) in [(168, 0.03), (168, 0.97), (5_000, 0.3), (5_000, 0.7)] {
+            let d = Binomial::new(n, p).unwrap();
+            for _ in 0..64 {
+                let mut twin = Rng::from_state(r.state());
+                assert_eq!(d.sample(&mut r), d.sample(&mut twin), "n={n} p={p}");
+                assert_eq!(r.state(), twin.state(), "n={n} p={p}: uniforms consumed");
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,9 @@ echo "== build (release) =="
 # (throughput, century-serve) that later smoke steps execute.
 cargo build --release --workspace
 
+echo "== production build (fleet and net without the reference-mode oracles) =="
+cargo check -p fleet -p net --no-default-features
+
 echo "== tests =="
 cargo test -q --workspace
 

@@ -19,6 +19,11 @@
 //! digests plus the specific ledgers the aggregate path batches: weekly
 //! uptime, delivery counts, and wallet-exhaustion tallies (with their
 //! diary weeks).
+//!
+//! Equality with Reference says nothing about the per-device `Legacy`
+//! path the paper goldens pin, since the two draw different streams; the
+//! statistical bridge at the end checks that Legacy and Aggregate agree
+//! in distribution on the paper experiment over 256 seeds.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // Test-only target.
 
@@ -26,8 +31,9 @@ mod common;
 
 use chaos::FaultPlanBuilder;
 use common::{run_with_plan, serial_with_plan};
-use fleet::sim::{FleetConfig, FleetReport, FleetSim, SamplingMode};
+use fleet::sim::{ArmReport, FleetConfig, FleetReport, FleetSim, SamplingMode};
 use fleet::Run;
+use simcore::stats::Moments;
 
 const SEEDS: [u64; 8] = [1, 2, 3, 7, 42, 97, 1001, 0xdead_beef];
 const SHARD_COUNTS: [usize; 2] = [1, 4];
@@ -143,4 +149,47 @@ fn aggregate_differs_from_legacy_sampling() {
         legacy.digest() != agg.digest()
     });
     assert!(disagrees, "aggregate sampling never diverged from legacy — mode switch inert?");
+}
+
+/// Seeds behind the statistical bridge: the per-seed uptime is skewed
+/// (rare outage seeds), so fewer seeds understate its spread.
+const BRIDGE_SEEDS: usize = 256;
+
+#[test]
+fn aggregate_agrees_with_legacy_in_distribution() {
+    // Aggregate ≡ Reference proves the aggregate bookkeeping; this bridges
+    // the other way, to the per-device Legacy path the paper goldens pin.
+    // The two draw from different streams, so they can only agree in
+    // distribution: over the same 256 seeds, per-arm means of the paper's
+    // metrics must match within sampling error.
+    let runs = |sampling: SamplingMode| {
+        bench::parallel::run_reports(&|seed| cfg(seed, sampling), 0, BRIDGE_SEEDS, 2).unwrap()
+    };
+    let legacy = runs(SamplingMode::Legacy);
+    let aggregate = runs(SamplingMode::Aggregate);
+    // (metric, absolute allowance on top of 4 combined standard errors).
+    // Yield's allowance: Legacy draws each device's weekly deliveries as a
+    // rounded normal clamped to [0, reports], which sits a few 1e-4 below
+    // the exact binomial mean when p is near 1 (arm 1: 0.99609 vs 0.99633,
+    // standard errors 3e-5); 5e-4 admits that known bias and nothing
+    // larger.
+    type Metric = fn(&ArmReport) -> f64;
+    let metrics: [(&str, Metric, f64); 2] =
+        [("uptime", ArmReport::uptime, 0.0), ("yield", ArmReport::data_yield, 5e-4)];
+    for arm in 0..legacy[0].arms.len() {
+        for (name, f, allowance) in metrics {
+            let stats = |reports: &[FleetReport]| {
+                let mut m = Moments::new();
+                reports.iter().for_each(|r| m.add(f(&r.arms[arm])));
+                (m.mean(), m.std_err())
+            };
+            let ((lm, ls), (am, as_)) = (stats(&legacy), stats(&aggregate));
+            let tol = 4.0 * ls.hypot(as_) + allowance;
+            assert!(
+                (lm - am).abs() <= tol,
+                "arm {arm} {name}: legacy {lm:.5}±{ls:.5} vs aggregate {am:.5}±{as_:.5} \
+                 (tol {tol:.5})"
+            );
+        }
+    }
 }

@@ -45,6 +45,21 @@ fn fingerprint_is_stable_across_rebuilds() {
 }
 
 #[test]
+fn exact_binomial_sampler_retired_the_old_aggregate_keys() {
+    // Values from before the exact binomial sampler replaced the
+    // per-trial / rounded-normal one. Legacy results did not move, so its
+    // key must not either; aggregate results did, so a checkpoint or
+    // cached digest keyed under the old sampler must no longer match.
+    const LEGACY_SEED_42: u64 = 0x439f_3c1b_cd31_d25a;
+    const OLD_SAMPLER_AGGREGATE_SEED_42: u64 = 0xdcab_a8f8_7e32_1197;
+    assert_eq!(config_fingerprint(&base()), LEGACY_SEED_42);
+    assert_ne!(
+        config_fingerprint(&base().with_sampling(SamplingMode::Aggregate)),
+        OLD_SAMPLER_AGGREGATE_SEED_42
+    );
+}
+
+#[test]
 fn every_top_level_field_moves_the_fingerprint() {
     assert_moves("seed", |c| c.seed ^= 1);
     assert_moves("horizon", |c| c.horizon = SimDuration::from_years(49));

@@ -110,21 +110,25 @@ fn s44_domain_lease_ritual() {
 
 /// §4's top-level metric: "some data arrives at some interval of time up
 /// to once a week" — the experiment sustains it for 50 years with
-/// documented maintenance.
+/// documented maintenance, under per-device and under aggregate weekly
+/// sampling alike.
 #[test]
 fn s4_experiment_sustains_weekly_uptime() {
-    let report = fleet::sim::FleetSim::run(fleet::sim::FleetConfig::paper_experiment(12345));
-    for arm in &report.arms {
-        assert!(
-            arm.uptime() > 0.95,
-            "{} uptime {} too low for a maintained deployment",
-            arm.name,
-            arm.uptime()
-        );
+    use fleet::sim::{FleetConfig, FleetSim, SamplingMode};
+    for sampling in [SamplingMode::Legacy, SamplingMode::Aggregate] {
+        let report = FleetSim::run(FleetConfig::paper_experiment(12345).with_sampling(sampling));
+        for arm in &report.arms {
+            assert!(
+                arm.uptime() > 0.95,
+                "{} uptime {} too low for a maintained deployment ({sampling:?})",
+                arm.name,
+                arm.uptime()
+            );
+        }
+        // §4.4: "The end-to-end system will require maintenance before the
+        // fifty year mark."
+        assert!(report.diary.count(simcore::trace::Severity::Incident) > 0, "{sampling:?}");
     }
-    // §4.4: "The end-to-end system will require maintenance before the
-    // fifty year mark."
-    assert!(report.diary.count(simcore::trace::Severity::Incident) > 0);
 }
 
 /// §4 under sharded execution: splitting the experiment across worker

@@ -445,15 +445,16 @@ proptest! {
     }
 
     /// Binomial thinning moments: over 64 independent seeds, the sample
-    /// mean sits within CLT bounds of `n·p` — in both the exact per-trial
-    /// regime (`n ≤ 1024`) and the normal-approximation regime above it.
-    /// This is the statistical license for the aggregate weekly sampler's
+    /// mean sits within CLT bounds of `n·p` — at a paper-scale cohort
+    /// (168 trials, inversion when `n·min(p, 1-p) < 10`, BTPE otherwise)
+    /// and a city-scale one (10,000 trials, BTPE). This is the
+    /// statistical license for the aggregate weekly sampler's
     /// one-draw-per-cohort thinning (DESIGN.md §13).
     #[test]
     fn binomial_thinning_moments_within_clt_bounds(seed in any::<u64>(), p in 0.05f64..0.95) {
         use simcore::dist::Binomial;
         const SEEDS: u64 = 64;
-        for n in [168u64, 10_000] { // exact regime / normal regime
+        for n in [168u64, 10_000] {
             let b = Binomial::new(n, p).unwrap();
             let mut sum = 0.0;
             for s in 0..SEEDS {
