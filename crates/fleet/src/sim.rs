@@ -506,7 +506,7 @@ pub(crate) struct ArmState {
     pub(crate) id: usize,
     pub(crate) cfg: ArmConfig,
     /// The device population as struct-of-arrays columns, including the
-    /// home-gateway lottery and the path-cohort decomposition.
+    /// path-cohort decomposition of the home-gateway lottery.
     pub(crate) store: DeviceStore,
     pub(crate) infra: ArmInfra,
     pub(crate) report: ArmReport,
@@ -544,6 +544,23 @@ pub(crate) struct ArmState {
     /// Telemetry: the open backhaul-outage span, between a provider exit
     /// and the replacement commissioning.
     pub(crate) outage_span: Option<SpanId>,
+    /// Buffers of the aggregate weekly pass, reused every week.
+    pub(crate) scratch: WeekScratch,
+}
+
+/// Per-cohort buffers of the aggregate and reference weekly passes, kept
+/// per arm so an arm-week allocates nothing. Derived state: every week
+/// overwrites them before reading, so they are neither snapshotted nor
+/// part of any digest.
+#[derive(Debug, Default)]
+pub(crate) struct WeekScratch {
+    probs: Vec<f64>,
+    participants: Vec<u64>,
+    base: Vec<u64>,
+    rem: Vec<u64>,
+    rank: Vec<u64>,
+    /// Per delivered-count tallies for the batched histogram feed.
+    value_counts: Vec<u64>,
 }
 
 /// The simulation world.
@@ -675,26 +692,29 @@ impl FleetSim {
                 dark_until: SimTime::ZERO,
             },
         };
-        // Figure 1: each device relies on one or two gateways.
+        // Figure 1: each device relies on one or two gateways. The store
+        // keeps only each device's cohort id, so the lottery writes
+        // straight into its canonicalization buffer.
         let mut home_rng = arm_rng.split("homes", 0);
-        let homes: Vec<Vec<usize>> = match &arm_cfg.kind {
-            ArmKind::Owned { gateways, .. } if *gateways > 0 => (0..arm_cfg.devices)
-                .map(|_| {
-                    let first = home_rng.next_below(*gateways as u64) as usize;
-                    if *gateways > 1 && home_rng.chance(arm_cfg.dual_homed_fraction) {
-                        let mut second = home_rng.next_below(*gateways as u64 - 1) as usize;
-                        if second >= first {
-                            second += 1;
-                        }
-                        vec![first, second]
-                    } else {
-                        vec![first]
-                    }
-                })
-                .collect(),
-            _ => vec![Vec::new(); arm_cfg.devices],
+        let owned_gateways = match &arm_cfg.kind {
+            ArmKind::Owned { gateways, .. } => *gateways,
+            ArmKind::Federated { .. } => 0,
         };
-        let store = DeviceStore::build(arm_cfg.device_spec, fails, homes);
+        let dual_homed = arm_cfg.dual_homed_fraction;
+        let store = DeviceStore::build(arm_cfg.device_spec, fails, |_, homes| {
+            if owned_gateways == 0 {
+                return;
+            }
+            let first = home_rng.next_below(owned_gateways as u64) as usize;
+            homes.push(first);
+            if owned_gateways > 1 && home_rng.chance(dual_homed) {
+                let mut second = home_rng.next_below(owned_gateways as u64 - 1) as usize;
+                if second >= first {
+                    second += 1;
+                }
+                homes.push(second);
+            }
+        });
         let mut report = ArmReport { name: arm_cfg.name, ..ArmReport::default() };
         // Initial spend: device hardware + wallets + gateway hardware.
         let device_cost = Usd::from_dollars(80) * arm_cfg.devices as i64;
@@ -797,6 +817,7 @@ impl FleetSim {
                 weekly_hist,
                 weekly_acc,
                 outage_span: None,
+                scratch: WeekScratch::default(),
             });
         }
 
@@ -895,14 +916,14 @@ impl FleetSim {
             let flushed = arm.weekly_acc.flush_into(&arm.weekly_hist);
             debug_assert!(flushed, "accumulator layout matches by construction");
         }
-        // Canonical merge. `Diary::extend` re-sorts stably by time, so
-        // same-second entries from different arms always come out in
-        // ascending arm order — regardless of which order the serial
-        // event loop (or which shard) happened to write them in.
-        let mut diary = Diary::new();
+        // Canonical merge: the arms' diaries concatenated in ascending
+        // arm id and sorted once, stably by time, so same-second entries
+        // from different arms always come out in ascending arm order —
+        // regardless of which order the serial event loop (or which
+        // shard) happened to write them in.
+        let diary = Diary::concat(self.arms.iter_mut().map(|arm| core::mem::take(&mut arm.diary)));
         let mut spans: Vec<Span> = Vec::new();
-        for arm in &mut self.arms {
-            diary.extend(core::mem::take(&mut arm.diary));
+        for arm in &self.arms {
             spans.extend(arm.spans.spans().iter().cloned());
         }
         spans.sort_by_key(|s| s.start);
@@ -1178,26 +1199,26 @@ impl FleetSim {
     /// Per-cohort path probability this week, shared by the aggregate and
     /// reference passes: owned cohorts need any home gateway forwarding
     /// plus the backhaul up; federated cohorts ride the hotspot census
-    /// (or a chaos blackout).
-    fn cohort_path_probs(arm: &ArmState, now: SimTime) -> Vec<f64> {
+    /// (or a chaos blackout). Overwrites `probs` with one entry per
+    /// cohort.
+    fn cohort_path_probs(arm: &ArmState, now: SimTime, probs: &mut Vec<f64>) {
         let ncoh = arm.store.cohort_count();
+        probs.clear();
         match &arm.infra {
             ArmInfra::Owned { gateways, backhaul_down, flap_until, .. } => {
                 let backhaul_up = !*backhaul_down && now >= *flap_until;
-                (0..ncoh)
-                    .map(|c| {
-                        let heard = arm
-                            .store
-                            .cohort_homes(c)
-                            .iter()
-                            .any(|&g| gateways.get(g).is_some_and(|gw| gw.forwarding_at(now)));
-                        if heard && backhaul_up {
-                            arm.cfg.per_packet_delivery
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect()
+                probs.extend((0..ncoh).map(|c| {
+                    let heard = arm
+                        .store
+                        .cohort_homes(c)
+                        .iter()
+                        .any(|&g| gateways.get(g).is_some_and(|gw| gw.forwarding_at(now)));
+                    if heard && backhaul_up {
+                        arm.cfg.per_packet_delivery
+                    } else {
+                        0.0
+                    }
+                }));
             }
             ArmInfra::Federated { hotspots, dark_until, .. } => {
                 let p = if now < *dark_until {
@@ -1205,27 +1226,29 @@ impl FleetSim {
                 } else {
                     hotspots.delivery_probability(arm.cfg.per_packet_delivery)
                 };
-                vec![p; ncoh]
+                probs.resize(ncoh, p);
             }
         }
     }
 
     /// One binomial draw per cohort: the cohort's weekly delivered total
     /// over `participants × reports` trials, from the substream pinned to
-    /// `(arm, week, cohort)`. Returns `(base, rem)` per cohort — every
-    /// participant receives `base`, and the first `rem` participants in
-    /// ascending device-id order receive one extra.
+    /// `(arm, week, cohort)`. Overwrites `scratch.base` and `scratch.rem`
+    /// per cohort — every participant receives `base`, and the first
+    /// `rem` participants in ascending device-id order receive one extra.
     fn cohort_totals(
         arm: &ArmState,
         now: SimTime,
         cloud_up: bool,
-        probs: &[f64],
-        participants: &[u64],
+        scratch: &mut WeekScratch,
         reports: u64,
-    ) -> (Vec<u64>, Vec<u64>) {
+    ) {
         let energy = arm.cfg.device_spec.energy_availability;
-        let mut base = vec![0u64; probs.len()];
-        let mut rem = vec![0u64; probs.len()];
+        let WeekScratch { probs, participants, base, rem, .. } = scratch;
+        base.clear();
+        base.resize(probs.len(), 0);
+        rem.clear();
+        rem.resize(probs.len(), 0);
         for (c, &p) in probs.iter().enumerate() {
             let pe = if cloud_up { p * energy } else { 0.0 };
             let trials = participants[c] * reports;
@@ -1243,7 +1266,6 @@ impl FleetSim {
             base[c] = total / participants[c];
             rem[c] = total % participants[c];
         }
-        (base, rem)
     }
 
     /// The aggregate weekly pass: one binomial draw per (cohort × week)
@@ -1265,61 +1287,68 @@ impl FleetSim {
         arm.report.readings_expected += reports * arm.cfg.devices as u64;
         let payload_len = arm.cfg.device_spec.payload.len() as u32;
 
-        let probs = Self::cohort_path_probs(arm, now);
-        let ncoh = probs.len();
+        // The arm's reusable buffers, moved out for the week so they can
+        // be filled while the arm is borrowed.
+        let mut scratch = core::mem::take(&mut arm.scratch);
+        Self::cohort_path_probs(arm, now, &mut scratch.probs);
+        let ncoh = scratch.probs.len();
 
         // Participants per cohort: the incremental alive counts minus the
         // currently-stuck present devices (corrected over the short
         // stuck-device index, not the population).
-        let mut participants: Vec<u64> = (0..ncoh).map(|c| arm.store.cohort_alive(c)).collect();
+        scratch.participants.clear();
+        scratch.participants.extend((0..ncoh).map(|c| arm.store.cohort_alive(c)));
         let mut stuck_present = 0u64;
         for i in 0..arm.store.stuck_ids().len() {
             let di = arm.store.stuck_ids()[i];
             if arm.store.present(di) && arm.store.stuck_at(di, now) {
-                participants[arm.store.cohort_of(di)] -= 1;
+                scratch.participants[arm.store.cohort_of(di)] -= 1;
                 stuck_present += 1;
             }
         }
 
-        let (base, rem) =
-            Self::cohort_totals(arm, now, cloud_up, &probs, &participants, reports);
+        Self::cohort_totals(arm, now, cloud_up, &mut scratch, reports);
+        let WeekScratch { participants, base, rem, rank, value_counts, .. } = &mut scratch;
+        value_counts.clear();
+        value_counts.resize(reports as usize + 1, 0);
 
         // Owned arms with nobody stuck or byzantine: every participant's
         // delivered count *is* its share, so the histogram counts follow
         // arithmetically from (participants, base, rem) and the only
-        // per-device work left is the sequence-counter update (snapshot
-        // state). The general scan below stays the oracle-checked path
-        // for federated wallets and active chaos.
+        // per-device state left is the sequence counters, which the
+        // store's share ledger takes in O(cohorts). The general scan
+        // below stays the oracle-checked path for federated wallets and
+        // active chaos.
         if stuck_present == 0
             && matches!(arm.infra, ArmInfra::Owned { .. })
             && !arm.store.any_byzantine_at(now)
         {
-            let mut counts = vec![0u64; reports as usize + 1];
             let mut delivered_total = 0u64;
             for c in 0..ncoh {
-                counts[base[c] as usize] += participants[c] - rem[c];
+                value_counts[base[c] as usize] += participants[c] - rem[c];
                 if rem[c] > 0 {
-                    counts[base[c] as usize + 1] += rem[c];
+                    value_counts[base[c] as usize + 1] += rem[c];
                 }
                 delivered_total += base[c] * participants[c] + rem[c];
             }
             if delivered_total > 0 {
-                arm.store.seq_add_shares(&base, &rem);
+                arm.store.seq_add_shares(base, rem);
                 arm.report.readings_delivered += delivered_total;
                 arm.report.weeks_up += 1;
             }
-            for (v, &n) in counts.iter().enumerate() {
+            for (v, &n) in value_counts.iter().enumerate() {
                 if n > 0 {
                     arm.weekly_acc.observe_n(v as f64, n);
                 }
             }
+            arm.scratch = scratch;
             return;
         }
 
         // Single O(n) scan in ascending device-id order: assign shares,
         // burn credits, accumulate exact per-value histogram counts.
-        let mut rank = vec![0u64; ncoh];
-        let mut value_counts = vec![0u64; reports as usize + 1];
+        rank.clear();
+        rank.resize(ncoh, 0);
         let mut any_delivered = false;
         for di in 0..arm.store.len() {
             if !arm.store.present(di) {
@@ -1371,6 +1400,7 @@ impl FleetSim {
         if any_delivered {
             arm.report.weeks_up += 1;
         }
+        arm.scratch = scratch;
     }
 
     /// The reference weekly pass: identical *semantics* to
@@ -1391,21 +1421,22 @@ impl FleetSim {
         arm.report.readings_expected += reports * arm.cfg.devices as u64;
         let payload_len = arm.cfg.device_spec.payload.len() as u32;
 
-        let probs = Self::cohort_path_probs(arm, now);
-        let ncoh = probs.len();
+        let mut scratch = WeekScratch::default();
+        Self::cohort_path_probs(arm, now, &mut scratch.probs);
+        let ncoh = scratch.probs.len();
 
         // Participants recounted from scratch (the oracle for the
         // aggregate pass's incremental counts + stuck-index correction).
-        let mut participants = vec![0u64; ncoh];
+        scratch.participants = vec![0u64; ncoh];
         for di in 0..arm.store.len() {
             let dev = arm.store.row(di);
             if !dev.failed && !dev.stuck_at(now) {
-                participants[arm.store.cohort_of(di)] += 1;
+                scratch.participants[arm.store.cohort_of(di)] += 1;
             }
         }
 
-        let (base, rem) =
-            Self::cohort_totals(arm, now, cloud_up, &probs, &participants, reports);
+        Self::cohort_totals(arm, now, cloud_up, &mut scratch, reports);
+        let WeekScratch { base, rem, .. } = scratch;
 
         let mut rank = vec![0u64; ncoh];
         let mut any_delivered = false;
@@ -2350,5 +2381,54 @@ mod tests {
             assert!(e.at >= last);
             last = e.at;
         }
+    }
+
+    #[cfg(feature = "reference-mode")]
+    #[test]
+    fn aggregate_sequence_counters_equal_reference_under_chaos() {
+        // Every device's counter under the aggregate pass — read while the
+        // store's share ledger holds pending weeks — equals the reference
+        // pass's eager per-device count, through failures, replacements
+        // and stuck and byzantine injections applied to both worlds.
+        let cfg = |sampling| {
+            let mut cfg = FleetConfig::scaled(23, 1_600).with_sampling(sampling);
+            cfg.horizon = SimDuration::from_years(12);
+            cfg
+        };
+        let mut agg = FleetSim::build(cfg(SamplingMode::Aggregate));
+        let mut reference = FleetSim::build(cfg(SamplingMode::Reference));
+        let mut chaos = Rng::seed_from(99);
+        let mut pending_reads = 0;
+        for week in [3u64, 40, 41, 97, 150, 260, 333, 520, 601] {
+            let now = SimTime::ZERO + SimDuration::from_weeks(week);
+            agg.run_until(now);
+            reference.run_until(now);
+            let (a, r) = (agg.world_mut(), reference.world_mut());
+            for ai in 0..a.arms.len() {
+                pending_reads += usize::from(a.arms[ai].store.pending_weeks() > 0);
+                for di in 0..a.arms[ai].store.len() {
+                    let (x, y) = (a.arms[ai].store.row(di), r.arms[ai].store.row(di));
+                    assert_eq!(x.seq, y.seq, "week {week}, arm {ai}, device {di}");
+                    assert_eq!(x.failed, y.failed, "week {week}, arm {ai}, device {di}");
+                }
+            }
+            if week % 2 == 1 {
+                for _ in 0..6 {
+                    let ai = chaos.next_below(a.arms.len() as u64) as usize;
+                    let di = chaos.next_below(a.arms[ai].store.len() as u64) as usize;
+                    let lasting = SimDuration::from_weeks(1 + chaos.next_below(8));
+                    let byzantine = chaos.chance(0.3);
+                    for world in [&mut *a, &mut *r] {
+                        let applied = if byzantine {
+                            world.inject_device_byzantine(ai, now, di, lasting)
+                        } else {
+                            world.inject_device_stuck(ai, now, di, lasting)
+                        };
+                        assert!(applied, "week {week}: injection into arm {ai}");
+                    }
+                }
+            }
+        }
+        assert!(pending_reads > 0, "some reads must find deferred weeks to materialize");
     }
 }

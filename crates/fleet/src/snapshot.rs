@@ -139,12 +139,13 @@ pub fn config_fingerprint(cfg: &FleetConfig) -> u64 {
 /// (framing, version byte and checksum trailer included).
 ///
 /// Takes `&mut` because the engine's queue is drained and rebuilt to
-/// observe its (time, FIFO) order — continuing the run afterwards is
+/// observe its (time, FIFO) order, and each arm's pending sequence-counter
+/// shares are materialized — continuing the run afterwards is
 /// bit-identical to never having snapshotted. Pass
 /// [`ChaosProgress::default`] for plain runs.
 pub fn checkpoint_bytes(engine: &mut Engine<FleetSim>, chaos: ChaosProgress) -> Vec<u8> {
     let cp = engine.checkpoint();
-    let world = engine.world();
+    let world = engine.world_mut();
     let mut w = ByteWriter::with_capacity(4096);
     w.put_u64(config_fingerprint(&world.cfg));
     w.put_u64(world.cfg.seed);
@@ -156,7 +157,7 @@ pub fn checkpoint_bytes(engine: &mut Engine<FleetSim>, chaos: ChaosProgress) -> 
     w.put_u64(world.chaos_applied.get());
     w.put_u64(world.chaos_skipped.get());
     w.put_u64(world.arms.len() as u64);
-    for arm in &world.arms {
+    for arm in &mut world.arms {
         encode_arm(&mut w, arm);
     }
     snapshot::seal(FLEET_SNAPSHOT_VERSION, w.as_bytes())
@@ -299,7 +300,9 @@ fn decode_ev(r: &mut ByteReader<'_>) -> Result<Ev, SnapshotError> {
     })
 }
 
-fn encode_arm(w: &mut ByteWriter, arm: &ArmState) {
+/// `&mut` because reading device rows materializes the store's pending
+/// sequence-counter shares.
+fn encode_arm(w: &mut ByteWriter, arm: &mut ArmState) {
     w.put_u64(arm.id as u64);
     for s in arm.rng.state() {
         w.put_u64(s);

@@ -45,14 +45,20 @@ impl Severity {
     }
 }
 
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl Severity {
+    /// The display name (`INFO`, `WARN`, `INCIDENT`).
+    pub const fn as_str(self) -> &'static str {
+        match self {
             Severity::Info => "INFO",
             Severity::Warning => "WARN",
             Severity::Incident => "INCIDENT",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -100,16 +106,22 @@ impl Tier {
     }
 }
 
-impl fmt::Display for Tier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl Tier {
+    /// The display name (`device`, `gateway`, …).
+    pub const fn as_str(self) -> &'static str {
+        match self {
             Tier::Device => "device",
             Tier::Gateway => "gateway",
             Tier::Backhaul => "backhaul",
             Tier::Cloud => "cloud",
             Tier::System => "system",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Tier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -208,14 +220,21 @@ impl Diary {
         self.entries.sort_by_key(|e| e.at);
     }
 
-    /// Consuming counterpart of [`Diary::merge`]: moves `other`'s entries
-    /// in without cloning, re-sorting by time. The sort is stable, so
-    /// same-time entries keep `self`-before-`other` order and each
-    /// diary's internal order — merging per-arm diaries is reproducible
-    /// regardless of how many arms contributed.
-    pub fn extend(&mut self, other: Diary) {
-        self.entries.extend(other.entries);
-        self.entries.sort_by_key(|e| e.at);
+    /// Merges many diaries at once (e.g. per-arm diaries), moving their
+    /// entries in without cloning: concatenates them in iteration order
+    /// and sorts once, stably by time. Same-time entries keep
+    /// earlier-diary-first order and each diary's internal order, so the
+    /// result equals folding [`Diary::merge`] over the same sequence at
+    /// the cost of one sort instead of one per diary — and merging
+    /// per-arm diaries is reproducible regardless of how many arms
+    /// contributed.
+    pub fn concat(parts: impl IntoIterator<Item = Diary>) -> Diary {
+        let mut entries = Vec::new();
+        for part in parts {
+            entries.extend(part.entries);
+        }
+        entries.sort_by_key(|e| e.at);
+        Diary { entries }
     }
 
     /// Renders the diary as plain text, one line per entry.
@@ -276,8 +295,8 @@ mod tests {
     }
 
     #[test]
-    fn extend_is_stable_across_per_arm_diaries() {
-        // Three "arms" log at the same instants; after extend-merging, the
+    fn concat_is_stable_across_per_arm_diaries() {
+        // Three "arms" log at the same instants; after the merge, the
         // same-time entries must keep arm order (a, then b, then c) and
         // each arm's internal order — the property digests rely on.
         let t = SimTime::from_years(1);
@@ -289,22 +308,33 @@ mod tests {
         b.log(t, Severity::Info, Tier::Cloud, "b-at-t");
         let mut c = Diary::new();
         c.log(t, Severity::Info, Tier::System, "c-at-t");
-        a.extend(b);
-        a.extend(c);
-        let msgs: Vec<&str> = a.entries().iter().map(|e| e.message.as_str()).collect();
+        let merged = Diary::concat([a, b, c]);
+        let msgs: Vec<&str> = merged.entries().iter().map(|e| e.message.as_str()).collect();
         assert_eq!(msgs, vec!["b-early", "a-first", "a-second", "b-at-t", "c-at-t"]);
     }
 
     #[test]
-    fn extend_matches_merge() {
-        let mut base1 = Diary::new();
-        base1.log(SimTime::from_years(2), Severity::Warning, Tier::Device, "w");
-        let mut base2 = base1.clone();
-        let mut other = Diary::new();
-        other.log(SimTime::from_years(1), Severity::Info, Tier::Gateway, "i");
-        base1.merge(&other);
-        base2.extend(other);
-        assert_eq!(base1.render(), base2.render());
+    fn concat_equals_folded_merge() {
+        let at = |y: u64, m: &str, tier: Tier| {
+            let mut d = Diary::new();
+            d.log(SimTime::from_years(y), Severity::Info, tier, m);
+            d
+        };
+        let mut a = at(1, "a1", Tier::Device);
+        a.log(SimTime::from_years(4), Severity::Warning, Tier::Device, "a4");
+        let mut b = at(0, "b0", Tier::Cloud);
+        b.log(SimTime::from_years(1), Severity::Info, Tier::Cloud, "b1");
+        b.log(SimTime::from_years(4), Severity::Info, Tier::Cloud, "b4");
+        let c = at(1, "c1", Tier::System);
+        let parts = [a, Diary::new(), b, c];
+        let mut folded = Diary::new();
+        for part in &parts {
+            folded.merge(part);
+        }
+        let merged = Diary::concat(parts);
+        assert_eq!(merged.render(), folded.render());
+        let msgs: Vec<&str> = merged.entries().iter().map(|e| e.message.as_str()).collect();
+        assert_eq!(msgs, vec!["b0", "a1", "b1", "c1", "a4", "b4"]);
     }
 
     #[test]

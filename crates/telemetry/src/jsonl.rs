@@ -13,9 +13,15 @@ use simcore::trace::Diary;
 use crate::registry::{MetricValue, Snapshot};
 use crate::span::Span;
 
-/// Appends `s` to `out` with JSON string escaping.
+/// Appends `s` to `out` with JSON string escaping. Strings with nothing
+/// to escape — no `"`, `\\` or control byte — are copied whole.
 fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -41,15 +47,40 @@ fn push_f64(out: &mut String, v: f64) {
     }
 }
 
+/// Appends `v` in decimal.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+/// Bytes of one event line besides its message, with room for the
+/// longest severity, tier and timestamp.
+const EVENT_LINE_OVERHEAD: usize = 88;
+
 /// Renders a diary as JSONL: one `{"type":"event",…}` object per entry.
 pub fn diary_to_jsonl(diary: &Diary) -> String {
-    let mut out = String::new();
-    for e in diary.entries() {
-        let _ = write!(out, "{{\"type\":\"event\",\"t\":{},\"sev\":", e.at.as_secs());
-        push_escaped(&mut out, &e.severity.to_string());
-        out.push_str(",\"tier\":");
-        push_escaped(&mut out, &e.tier.to_string());
-        out.push_str(",\"msg\":");
+    let entries = diary.entries();
+    let mut out = String::with_capacity(
+        entries.iter().map(|e| e.message.len() + EVENT_LINE_OVERHEAD).sum(),
+    );
+    for e in entries {
+        out.push_str("{\"type\":\"event\",\"t\":");
+        push_u64(&mut out, e.at.as_secs());
+        // Severity and tier names are plain ASCII words: nothing to escape.
+        out.push_str(",\"sev\":\"");
+        out.push_str(e.severity.as_str());
+        out.push_str("\",\"tier\":\"");
+        out.push_str(e.tier.as_str());
+        out.push_str("\",\"msg\":");
         push_escaped(&mut out, &e.message);
         out.push_str("}\n");
     }
@@ -157,6 +188,67 @@ mod tests {
         assert!(out.contains("\"kind\":\"counter\",\"value\":3"));
         assert!(out.contains("\"kind\":\"gauge\",\"value\":1.5"));
         assert!(out.contains("\"counts\":[1,0,0]"), "{out}");
+    }
+
+    /// The diary exporter before its fast path, kept as the oracle.
+    fn diary_to_jsonl_escaping_everything(diary: &Diary) -> String {
+        fn escaped(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+        let mut out = String::new();
+        for e in diary.entries() {
+            let _ = write!(out, "{{\"type\":\"event\",\"t\":{},\"sev\":", e.at.as_secs());
+            escaped(&mut out, &e.severity.to_string());
+            out.push_str(",\"tier\":");
+            escaped(&mut out, &e.tier.to_string());
+            out.push_str(",\"msg\":");
+            escaped(&mut out, &e.message);
+            out.push_str("}\n");
+        }
+        out
+    }
+
+    #[test]
+    fn diary_export_matches_the_escape_everything_oracle() {
+        let severities = [Severity::Info, Severity::Warning, Severity::Incident];
+        let tiers = [Tier::Device, Tier::Gateway, Tier::Backhaul, Tier::Cloud, Tier::System];
+        let controls: String = (0u8..0x20).map(char::from).chain(['\u{7f}']).collect();
+        let messages = [
+            String::new(),
+            "plain ascii message".to_string(),
+            "gw \"g0\" died".to_string(),
+            "back\\slash \\\" mixed".to_string(),
+            controls,
+            "non-ASCII: Zürich, 東京, 🛰 — ok".to_string(),
+            "é\"\u{1}ü\\".to_string(),
+        ];
+        let mut diary = Diary::new();
+        let mut t = 0u64;
+        for sev in severities {
+            for tier in tiers {
+                for msg in &messages {
+                    diary.log(SimTime::from_secs(t), sev, tier, msg.clone());
+                    t = t.saturating_mul(3).saturating_add(7);
+                }
+            }
+        }
+        diary.log(SimTime::from_secs(u64::MAX), Severity::Info, Tier::System, "end");
+        assert_eq!(diary_to_jsonl(&diary), diary_to_jsonl_escaping_everything(&diary));
+        assert_eq!(diary_to_jsonl(&Diary::new()), "");
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! version bump) into a loud test failure instead of a silently
 //! unreadable checkpoint.
 //!
+//! Four more pins cover the aggregate fast path at city scale, where
+//! the per-device sequence counters are written lazily: a 20k-device
+//! scaled fleet checkpointed at week 130 and then again at week 131 from
+//! the same live engine, and a 20-year run under the full fault plan at
+//! intensity 1.0 checkpointed at weeks 200 and 777. A counter left stale
+//! by the lazy path changes these bytes.
+//!
 //! An *intentional* format change must bump
 //! [`fleet::snapshot::FLEET_SNAPSHOT_VERSION`]; re-bless with
 //! `scripts/bless.sh` (or `GOLDEN_BLESS=1 cargo test --test
@@ -16,6 +23,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // Test-only target.
 
+use chaos::{FaultPlanBuilder, FleetInjector};
 use fleet::sim::{FleetConfig, FleetSim, SamplingMode};
 use fleet::snapshot::{self, ChaosProgress, FLEET_SNAPSHOT_VERSION};
 use simcore::snapshot::{fnv1a, FRAME_BYTES, MAGIC};
@@ -34,9 +42,48 @@ fn pinned_image() -> Vec<u8> {
     pinned_image_for(SamplingMode::Legacy)
 }
 
+fn week(n: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_weeks(n)
+}
+
+/// The 20k-device scaled fleet under aggregate sampling over `years`.
+fn scaled_cfg(years: u64) -> FleetConfig {
+    let mut cfg = FleetConfig::scaled(31, 20_000).with_sampling(SamplingMode::Aggregate);
+    cfg.horizon = SimDuration::from_years(years);
+    cfg
+}
+
+/// Checkpoints of one live 5-year engine, at week 130 and again at 131.
+fn scaled_images() -> [Vec<u8>; 2] {
+    let mut engine = FleetSim::build(scaled_cfg(5));
+    engine.run_until(week(130));
+    let first = snapshot::checkpoint_bytes(&mut engine, ChaosProgress::default());
+    engine.run_until(week(131));
+    let second = snapshot::checkpoint_bytes(&mut engine, ChaosProgress::default());
+    [first, second]
+}
+
+/// Checkpoints of one live 20-year engine under the full fault plan.
+fn chaos_images(weeks: [u64; 2]) -> [Vec<u8>; 2] {
+    let cfg = scaled_cfg(20);
+    let plan = FaultPlanBuilder::full(5).build(&cfg, 1.0).expect("valid intensity");
+    let mut injector = FleetInjector::new(plan);
+    let mut engine = FleetSim::build(cfg);
+    weeks.map(|w| {
+        engine.run_until_hooked(week(w), &mut injector);
+        snapshot::checkpoint_bytes(&mut engine, injector.progress())
+    })
+}
+
+fn pin_line(name: &str, image: &[u8]) -> String {
+    format!("image/{name} len={} fnv1a={:016x}\n", image.len(), fnv1a(image))
+}
+
 fn render() -> String {
     let image = pinned_image();
     let aggregate = pinned_image_for(SamplingMode::Aggregate);
+    let [w130, w131] = scaled_images();
+    let [c200, c777] = chaos_images([200, 777]);
     let magic_hex: String = MAGIC.iter().map(|b| format!("{b:02x}")).collect();
     format!(
         "# Golden snapshot format pin. A diff here means the on-disk layout\n\
@@ -46,11 +93,16 @@ fn render() -> String {
          version {FLEET_SNAPSHOT_VERSION}\n\
          frame_bytes {FRAME_BYTES}\n\
          image/paper_experiment/seed=42/week=26 len={} fnv1a={:016x}\n\
-         image/paper_experiment/seed=42/week=26/sampling=aggregate len={} fnv1a={:016x}\n",
+         image/paper_experiment/seed=42/week=26/sampling=aggregate len={} fnv1a={:016x}\n\
+         {}{}{}{}",
         image.len(),
         fnv1a(&image),
         aggregate.len(),
         fnv1a(&aggregate),
+        pin_line("scaled/seed=31/devices=20000/years=5/sampling=aggregate/week=130", &w130),
+        pin_line("scaled/seed=31/devices=20000/years=5/sampling=aggregate/week=131", &w131),
+        pin_line("scaled/seed=31/devices=20000/years=20/sampling=aggregate/chaos=full(5)@1.0/week=200", &c200),
+        pin_line("scaled/seed=31/devices=20000/years=20/sampling=aggregate/chaos=full(5)@1.0/week=777", &c777),
     )
 }
 
