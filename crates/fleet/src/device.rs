@@ -8,7 +8,7 @@
 //! unless explicitly configured vendor-locked for ablations.
 
 use net::packet::{Payload, RadioTech};
-use reliability::system::bom;
+use reliability::system::{bom, Block};
 use simcore::rng::Rng;
 use simcore::time::{SimDuration, SimTime};
 
@@ -19,6 +19,16 @@ pub enum EnergySystem {
     Harvesting,
     /// Primary battery — the 10–15-year folklore design point.
     Battery,
+}
+
+impl EnergySystem {
+    /// The reliability BOM of a device powered this way in `env`.
+    pub fn bom(self, env: &bom::Environment) -> Block {
+        match self {
+            EnergySystem::Harvesting => bom::harvesting_node(env),
+            EnergySystem::Battery => bom::battery_node(env),
+        }
+    }
 }
 
 /// A device archetype.
@@ -84,11 +94,15 @@ impl DeviceState {
     /// Deploys a device at `now`, sampling its hardware lifetime from the
     /// archetype's reliability BOM in the given environment.
     pub fn deploy(spec: DeviceSpec, now: SimTime, env: &bom::Environment, rng: &mut Rng) -> Self {
-        let block = match spec.energy {
-            EnergySystem::Harvesting => bom::harvesting_node(env),
-            EnergySystem::Battery => bom::battery_node(env),
-        };
-        let ttf_years = block.sample_ttf(rng);
+        Self::deploy_from(spec, &spec.energy.bom(env), now, rng)
+    }
+
+    /// [`deploy`](Self::deploy) sampling from a prebuilt BOM (`spec.energy`'s
+    /// [`EnergySystem::bom`] in the deployment environment), so a caller
+    /// deploying many devices builds the block once. Same draws, same
+    /// device.
+    pub fn deploy_from(spec: DeviceSpec, bom: &Block, now: SimTime, rng: &mut Rng) -> Self {
+        let ttf_years = bom.sample_ttf(rng);
         DeviceState {
             spec,
             installed_at: now,
@@ -178,6 +192,25 @@ mod tests {
         let h = mean_life(EnergySystem::Harvesting, &mut rng);
         let b = mean_life(EnergySystem::Battery, &mut rng);
         assert!(h > b, "harvesting {h} battery {b}");
+    }
+
+    #[test]
+    fn prebuilt_bom_draws_like_deploy() {
+        let env = bom::Environment { enclosure_c: 60.0, ..env() };
+        for energy in [EnergySystem::Harvesting, EnergySystem::Battery] {
+            let spec = DeviceSpec { energy, ..DeviceSpec::paper_sensor(RadioTech::LoRa) };
+            let block = energy.bom(&env);
+            for seed in 0..2_000 {
+                let now = SimTime::from_secs(seed * 7_919);
+                let mut a = Rng::seed_from(seed);
+                let mut b = Rng::seed_from(seed);
+                let fresh = DeviceState::deploy(spec, now, &env, &mut a);
+                let prebuilt = DeviceState::deploy_from(spec, &block, now, &mut b);
+                assert_eq!(fresh.fails_at, prebuilt.fails_at, "{energy:?} seed {seed}");
+                assert_eq!(fresh.installed_at, prebuilt.installed_at);
+                assert_eq!(a.state(), b.state(), "both consume the same draws");
+            }
+        }
     }
 
     #[test]

@@ -17,21 +17,29 @@
 //! 1. **Plan** ([`ShardPlan`]): a stable, seed-independent partition of
 //!    global arm ids into `k` groups, balanced by per-arm device count
 //!    (LPT greedy). Pure function of `(weights, k)` — no RNG, no clock.
-//! 2. **Split** (`FleetSim::split_for_shards`): build the serial engine,
-//!    then move each arm — with its private rng, diary and span log —
-//!    into its owner shard, and route the primed event queue by owner in
-//!    serial (time, FIFO) order. Tick-chain events are replicated into
-//!    every shard.
-//! 3. **Run**: each shard advances its own `Engine` on a scoped worker
-//!    thread ([`simcore::fanout::fan_out`]) to the shared horizon. The weekly tick is the epoch barrier
-//!    of the literature, but because no cross-shard messages exist the
-//!    shards never have to wait for each other — each replays the
-//!    broadcast locally.
-//! 4. **Merge** (`FleetSim::merge_shards_onto` → `FleetSim::finalize`): arms
-//!    are regrouped in ascending global-id order and the *same* finalize
-//!    path as a serial run performs the canonical diary/span merge and
-//!    ledger collection; profiles fold with the replayed tick chains
-//!    deduplicated so `events_processed` matches serial exactly.
+//! 2. **Route** (`route`): no serial engine is built. A fresh run
+//!    assembles the world and its primed event list in canonical order
+//!    (the tick chains, then each arm's planned events in arm order); a
+//!    resumed run drains its restored queue, which yields the pending
+//!    events in (time, FIFO) pop order. One router moves each arm — with
+//!    its private rng, diary and span log — into its owner shard's world
+//!    and deals the list out by owner, keeping list order. Tick-chain
+//!    events are replicated into every shard.
+//! 3. **Run**: each shard worker ([`simcore::fanout::fan_out`]) builds
+//!    its own `Engine`, schedules its events in list order — FIFO ties
+//!    keep insertion order, so the shard pops exactly the subsequence of
+//!    the serial pop order that it owns — and advances to the shared
+//!    horizon. The weekly tick is the epoch barrier of the literature,
+//!    but because no cross-shard messages exist the shards never have to
+//!    wait for each other — each replays the broadcast locally. The
+//!    worker then closes its arms (`ArmState::close`: right-censoring
+//!    and the per-arm metric flush), the same step a serial finalize runs.
+//! 4. **Merge** (`merge`): the closed arms are regathered and the *same*
+//!    collection path as a serial run (`FleetSim::report`) performs the
+//!    canonical k-way diary merge in ascending global arm id, the span
+//!    merge and the ledger collection; profiles fold with the replayed
+//!    tick chains deduplicated so `events_processed` matches serial
+//!    exactly.
 //!
 //! Bit-identity is structural, not coincidental: every number that feeds
 //! the run digest is produced per-arm by per-arm state (rng, ledger,
@@ -46,11 +54,14 @@
 
 use core::fmt;
 
-use simcore::engine::{Engine, FaultHook, NoFaults};
+use std::sync::Arc;
+
+use simcore::engine::{Engine, EngineProfile, FaultHook, NoFaults};
+use simcore::event::EventQueue;
 use simcore::fanout::fan_out;
 use simcore::time::SimTime;
 
-use crate::sim::{FleetConfig, FleetReport, FleetSim};
+use crate::sim::{ArmState, Ev, FleetConfig, FleetReport, FleetSim};
 use crate::snapshot::{ChaosProgress, ResumedFleet};
 
 /// Ways a sharded run request can be invalid.
@@ -299,14 +310,14 @@ where
     ///
     /// With one non-empty shard group the engine is built (or taken as
     /// restored) and run on the calling thread; no thread is spawned.
-    /// Otherwise a fresh engine is built with per-arm planning fanned out
-    /// over at least `shards` threads, split by the plan's groups, each
-    /// shard run on a scoped worker, and the shards merged through the
-    /// canonical finalize path. The engine's profile is captured *before*
-    /// the split and folded back in at merge: a fresh engine contributes
-    /// an empty base, a resumed engine its pre-checkpoint dispatch counts,
-    /// so `events_processed` matches the uninterrupted serial run either
-    /// way.
+    /// Otherwise the world is assembled with per-arm planning fanned out
+    /// over at least `shards` threads (or taken from the restored engine,
+    /// its queue drained), routed by the plan's groups, each shard primed,
+    /// run and closed on a scoped worker, and the closed arms merged
+    /// through the canonical collection path. A resumed engine's profile
+    /// is the base the shard profiles fold onto (a fresh run's base is
+    /// empty), so `events_processed` matches the uninterrupted serial run
+    /// either way.
     ///
     /// # Panics
     ///
@@ -320,11 +331,10 @@ where
         };
         let horizon = SimTime::ZERO + cfg.horizon;
         let plan = ShardPlan::lpt(&arm_weights(cfg), shards);
-        let groups: Vec<Vec<usize>> =
-            plan.groups().iter().filter(|g| !g.is_empty()).cloned().collect();
-        if groups.len() <= 1 {
-            // One shard of work (or an arm-less config): the split would
-            // be the identity, so run here under shard 0's hook.
+        let used = plan.groups().iter().filter(|g| !g.is_empty()).count();
+        if used <= 1 {
+            // One shard of work (or an arm-less config): routing would be
+            // the identity, so run here under shard 0's hook.
             let mut engine = match start {
                 Start::Fresh(cfg) => FleetSim::build(cfg),
                 Start::Resumed(engine) => *engine,
@@ -333,28 +343,124 @@ where
             engine.run_until_hooked(horizon, &mut hook);
             return FleetSim::into_report(engine, horizon);
         }
-        let engine = match start {
+        let (mut shell, primed, base) = match start {
             Start::Fresh(cfg) => {
                 let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-                FleetSim::build_parallel_with(cfg, shards.max(cores))
+                let (world, primed) = FleetSim::assemble(cfg, shards.max(cores));
+                (world, primed, EngineProfile::default())
             }
-            Start::Resumed(engine) => *engine,
+            Start::Resumed(engine) => {
+                let base = engine.profile().clone();
+                let (world, mut queue) = engine.into_parts();
+                (world, core::iter::from_fn(|| queue.pop()).collect(), base)
+            }
         };
-        let base_profile = engine.profile().clone();
-        let (shell, engines) = FleetSim::split_for_shards(engine, &groups);
-        let finished = fan_out(
-            engines,
-            groups.len(),
+        let parts = route(&mut shell, primed, &plan, used);
+        let closed = fan_out(
+            parts,
+            used,
             || (),
-            |_, si, mut engine| {
+            |_, si, (world, primed)| {
+                let mut engine = FleetSim::prime(world, primed, EventQueue::new());
                 let mut hook = make_hook(si, &plan);
                 engine.run_until_hooked(horizon, &mut hook);
-                engine
+                let profile = engine.profile().clone();
+                let mut arms = engine.into_world().arms;
+                for arm in &mut arms {
+                    arm.close(horizon);
+                }
+                (arms, profile)
             },
         )
         .unwrap_or_else(|p| std::panic::resume_unwind(p.payload));
-        FleetSim::merge_shards_onto(shell, base_profile, finished, horizon)
+        merge(shell, base, closed)
     }
+}
+
+/// One shard's share of a run before it starts: a world holding the
+/// shard's arms, and the shard's primed events in list order.
+type ShardPart = (FleetSim, Vec<(SimTime, Ev)>);
+
+/// Routes a world and its primed events into the first `used` shards of
+/// `plan` (the non-empty groups, a prefix).
+///
+/// Each arm moves whole out of `world` — leaving it an arm-less shell
+/// that [`merge`] regathers into — into its owner shard's world, keeping
+/// ascending-id order within the shard. Each event goes to the shard
+/// owning its arm, and tick-chain events ([`Ev::arm`] = `None`) to every
+/// shard, each shard's list keeping `primed` order. Shard worlds share
+/// the shell's metric [`Registry`](telemetry::Registry) through the
+/// `Arc`: counter increments are atomic adds, which commute, and every
+/// histogram is flushed once by its arm's close step, so the merged
+/// snapshot is independent of thread timing.
+fn route(
+    world: &mut FleetSim,
+    primed: Vec<(SimTime, Ev)>,
+    plan: &ShardPlan,
+    used: usize,
+) -> Vec<ShardPart> {
+    let mut arms: Vec<Vec<ArmState>> = (0..used).map(|_| Vec::new()).collect();
+    for arm in core::mem::take(&mut world.arms) {
+        arms[plan.owner[arm.id]].push(arm);
+    }
+    let mut events: Vec<Vec<(SimTime, Ev)>> = (0..used).map(|_| Vec::new()).collect();
+    for (at, ev) in primed {
+        match ev.arm() {
+            Some(ai) => events[plan.owner[ai]].push((at, ev)),
+            None => {
+                for shard in &mut events {
+                    shard.push((at, ev));
+                }
+            }
+        }
+    }
+    arms.into_iter()
+        .zip(events)
+        .map(|(arms, events)| {
+            let shard = FleetSim {
+                cfg: world.cfg.clone(),
+                arms,
+                cloud: world.cloud.clone(),
+                metrics: Arc::clone(&world.metrics),
+                chaos_applied: world.chaos_applied.clone(),
+                chaos_skipped: world.chaos_skipped.clone(),
+            };
+            (shard, events)
+        })
+        .collect()
+}
+
+/// Event kinds every shard replays locally instead of owning: the
+/// fleet-wide tick chains. [`merge`] must not sum their dispatch counts
+/// across shards — shard 0's copy is the canonical one — so the merged
+/// profile (and `events_processed`) matches the serial run exactly.
+const DUPLICATED_KINDS: &[&str] = &["weekly-check", "yearly-tick"];
+
+/// Regathers the closed arms of finished shards (in shard-index order)
+/// into the `shell` they were routed from, folds their profiles onto
+/// `base` — the dispatch counts a resumed run accrued before its
+/// checkpoint (shard engines start with fresh profiles), or an empty
+/// profile for a fresh run — and collects the report through the same
+/// [`FleetSim::report`] a serial finalize ends in.
+///
+/// Profiles fold via [`EngineProfile::absorb_shard`]: per-arm event
+/// kinds sum (each is owned by one shard) and the replayed tick chains
+/// ([`DUPLICATED_KINDS`]) keep shard 0's canonical count, so
+/// `events_processed` is recomputed exactly from the merged counts.
+fn merge(
+    mut shell: FleetSim,
+    base: EngineProfile,
+    closed: Vec<(Vec<ArmState>, EngineProfile)>,
+) -> FleetReport {
+    let mut profile = base;
+    for (si, (arms, shard)) in closed.into_iter().enumerate() {
+        // Shard 0 absorbs with nothing deduplicated: its tick chains are
+        // the canonical copies.
+        let duplicated = if si == 0 { &[] } else { DUPLICATED_KINDS };
+        profile.absorb_shard(&shard, duplicated);
+        shell.arms.extend(arms);
+    }
+    shell.report(profile.total_dispatched(), profile)
 }
 
 /// Per-arm shard weights: the device count.
@@ -452,6 +558,61 @@ mod tests {
         assert_eq!(auto_shards(&big, 0), 0, "zero is still refused downstream");
         let small = FleetConfig::scaled(1, SERIAL_FALLBACK_DEVICES as usize - 16);
         assert_eq!(auto_shards(&small, 4), 1);
+    }
+
+    /// Every pending event of `engine` in (time, FIFO) pop order.
+    fn drain(engine: Engine<FleetSim>) -> Vec<String> {
+        let (_, mut queue) = engine.into_parts();
+        core::iter::from_fn(|| queue.pop()).map(|(at, ev)| format!("{at:?} {ev:?}")).collect()
+    }
+
+    #[test]
+    fn fresh_shard_queues_pop_in_drain_and_route_order() {
+        use simcore::time::SimDuration;
+
+        for cfg in [FleetConfig::paper_experiment(8), FleetConfig::scaled(8, 16 * 40)] {
+            // Sampled lifetimes rarely tie to the second, so extra events
+            // land exactly on the tick instants, arms in descending order:
+            // FIFO tie-breaks decide their whole pop order.
+            let week = SimTime::ZERO + SimDuration::from_weeks(1);
+            let year = SimTime::ZERO + SimDuration::from_years(1);
+            let ties: Vec<(SimTime, Ev)> = (0..cfg.arms.len())
+                .rev()
+                .flat_map(|ai| [(year, Ev::ProviderExit(ai)), (week, Ev::DeviceFail(ai, 0))])
+                .collect();
+            let primed = || {
+                let (world, mut primed) = FleetSim::assemble(cfg.clone(), 2);
+                primed.extend(ties.iter().copied());
+                (world, primed)
+            };
+            for k in [2, 3, 5, 16] {
+                let plan = ShardPlan::for_fleet(&cfg, k).unwrap();
+                let used = plan.groups().iter().filter(|g| !g.is_empty()).count();
+                // Reference: one engine primed with the whole list, drained
+                // in pop order and dealt out by owner.
+                let mut expect: Vec<Vec<String>> = vec![Vec::new(); used];
+                let (world, list) = primed();
+                let (_, mut serial) = FleetSim::prime(world, list, EventQueue::new()).into_parts();
+                while let Some((at, ev)) = serial.pop() {
+                    let line = format!("{at:?} {ev:?}");
+                    match ev.arm() {
+                        Some(ai) => expect[plan.owner_of(ai).unwrap()].push(line),
+                        None => expect.iter_mut().for_each(|shard| shard.push(line.clone())),
+                    }
+                }
+                // Under test: the routed parts, primed as a worker primes
+                // them.
+                let (mut world, list) = primed();
+                let parts = route(&mut world, list, &plan, used);
+                assert!(world.arms.is_empty(), "every arm moved into a shard");
+                assert_eq!(parts.len(), used);
+                for (si, (shard, list)) in parts.into_iter().enumerate() {
+                    assert!(shard.arms.iter().all(|a| plan.owner_of(a.id) == Some(si)));
+                    let got = drain(FleetSim::prime(shard, list, EventQueue::new()));
+                    assert_eq!(got, expect[si], "k={k}, shard {si}");
+                }
+            }
+        }
     }
 
     #[test]

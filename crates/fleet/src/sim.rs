@@ -31,7 +31,7 @@ use backhaul::helium::HotspotPopulation;
 use econ::credits::{Wallet, WalletColumn};
 use econ::labor::PersonHours;
 use econ::money::Usd;
-use reliability::system::bom;
+use reliability::system::{bom, Block};
 use simcore::dist::{sorted_uniforms, Binomial, InverseCdf};
 use simcore::engine::{Ctx, Engine, EngineProfile, World};
 use simcore::event::EventQueue;
@@ -93,10 +93,7 @@ fn lifetime_table(energy: EnergySystem, env: &bom::Environment, t_max: f64) -> A
 
 /// Tabulates the inverse lifetime CDF behind [`lifetime_table`].
 fn tabulate_lifetimes(energy: EnergySystem, env: &bom::Environment, t_max: f64) -> InverseCdf {
-    let block = match energy {
-        EnergySystem::Harvesting => bom::harvesting_node(env),
-        EnergySystem::Battery => bom::battery_node(env),
-    };
+    let block = energy.bom(env);
     #[allow(clippy::expect_used)]
     InverseCdf::tabulate(|t| 1.0 - block.survival(t), t_max, 4096)
         // simlint: allow(P001, the survival product is finite and non-increasing by construction)
@@ -337,8 +334,8 @@ impl Ev {
     /// The global arm index this event is scoped to, or `None` for the
     /// fleet-wide tick chains ([`Ev::WeeklyCheck`], [`Ev::YearlyTick`])
     /// that every shard replays locally. The shard router
-    /// ([`FleetSim::split_for_shards`]) uses this to deliver each primed
-    /// event to the one shard that owns its arm.
+    /// (`shard::route`) uses this to deliver each primed event to the one
+    /// shard that owns its arm.
     pub(crate) fn arm(&self) -> Option<usize> {
         match *self {
             Ev::WeeklyCheck | Ev::YearlyTick => None,
@@ -546,6 +543,33 @@ pub(crate) struct ArmState {
     pub(crate) outage_span: Option<SpanId>,
     /// Buffers of the aggregate weekly pass, reused every week.
     pub(crate) scratch: WeekScratch,
+    /// The device archetype's reliability BOM in the run's environment,
+    /// built once: every replacement samples its lifetime from it.
+    pub(crate) bom: Block,
+}
+
+impl ArmState {
+    /// Closes the arm at the horizon: right-censors the surviving devices
+    /// and settles the metrics the hot loop deferred — the counter from
+    /// the report ledger, the histogram from its local accumulator.
+    ///
+    /// Runs exactly once per arm, on whichever thread ran the arm (a
+    /// shard worker, or the serial finalize). The counter and histogram
+    /// belong to this arm alone and take one add each, so the thread
+    /// cannot reorder float adds: local f64 accumulation starting from
+    /// 0.0 matches the sequential atomic-add order bit for bit.
+    pub(crate) fn close(&mut self, horizon: SimTime) {
+        for di in 0..self.store.len() {
+            if self.store.alive_at(di, horizon) {
+                self.report
+                    .lifetime_observations
+                    .push(Observation::censored(self.store.age_at(di, horizon).as_years_f64()));
+            }
+        }
+        self.delivered.add(self.report.readings_delivered);
+        let flushed = self.weekly_acc.flush_into(&self.weekly_hist);
+        debug_assert!(flushed, "accumulator layout matches by construction");
+    }
 }
 
 /// Per-cohort buffers of the aggregate and reference weekly passes, kept
@@ -580,9 +604,10 @@ pub struct FleetSim {
 
 /// The registry-free output of build phase 1 for one arm: a pure function
 /// of `(config, arm index)`, computable on any thread
-/// (see [`FleetSim::build_parallel_with`]).
+/// (see [`FleetSim::assemble`]).
 struct ArmPlan {
     store: DeviceStore,
+    bom: Block,
     infra: ArmInfra,
     report: ArmReport,
     /// The arm's primed events in canonical serial order:
@@ -602,30 +627,33 @@ impl FleetSim {
     /// previous run (see [`Engine::new_with_queue`]). Event order, and
     /// therefore the run digest, is identical to a fresh build.
     fn build_with_queue(cfg: FleetConfig, queue: EventQueue<Ev>) -> Engine<FleetSim> {
-        let plans = (0..cfg.arms.len()).map(|ai| Self::plan_arm(&cfg, ai)).collect();
-        Self::assemble(cfg, plans, queue)
+        let (world, primed) = Self::assemble(cfg, 1);
+        Self::prime(world, primed, queue)
     }
 
     /// [`build`](Self::build) with the per-arm deployment planning —
     /// lifetime sampling, gateway deploys, the coverage lottery — fanned
     /// out over up to `workers` scoped threads
-    /// ([`simcore::fanout::fan_out`]).
-    ///
-    /// Bit-identical to the serial build: phase 1 (`plan_arm`) is a
-    /// pure function of `(seed, arm index, config)` with no shared state,
-    /// so computing plans concurrently changes nothing; phase 2
-    /// (`assemble`) runs serially on the calling thread and registers
-    /// metrics, merges the priming events, and primes the queue in exactly
-    /// the serial order. At 1M devices the plan phase (order-statistic
-    /// lifetimes per arm) dominates build time. The sharded runner passes
-    /// at least its shard count here: a container whose cgroup quota
-    /// reports one core still runs `k` shard threads, so the plan phase
-    /// fans out just as wide.
+    /// ([`simcore::fanout::fan_out`]). Bit-identical to the serial build:
+    /// each arm's plan is a pure function of `(seed, arm index, config)`.
+    /// A sharded [`Run`](crate::Run) does not build one engine at all: it
+    /// routes the assembled world straight into per-shard engines.
     pub fn build_parallel_with(cfg: FleetConfig, workers: usize) -> Engine<FleetSim> {
-        let arms = (0..cfg.arms.len()).collect();
-        let plans = fan_out(arms, workers, || (), |_, _, ai| Self::plan_arm(&cfg, ai))
-            .unwrap_or_else(|p| std::panic::resume_unwind(p.payload));
-        Self::assemble(cfg, plans, EventQueue::new())
+        let (world, primed) = Self::assemble(cfg, workers);
+        Self::prime(world, primed, EventQueue::new())
+    }
+
+    /// An engine over `world`, reusing `queue`'s allocations, with the
+    /// `primed` events scheduled in list order. FIFO ties keep insertion
+    /// order, so the list order is the tie-break order of the run.
+    pub(crate) fn prime(
+        world: FleetSim,
+        primed: Vec<(SimTime, Ev)>,
+        queue: EventQueue<Ev>,
+    ) -> Engine<FleetSim> {
+        let mut engine = Engine::new_with_queue(world, queue);
+        engine.schedule_many(primed, &mut Vec::new());
+        engine
     }
 
     /// Phase 1 of the build: everything about arm `ai` that is a pure
@@ -633,12 +661,12 @@ impl FleetSim {
     /// deploys, the coverage lottery, initial spend, and the arm's primed
     /// events (in the canonical device → provider → gateway order). No
     /// registry or queue access, so arms can be planned concurrently
-    /// ([`build_parallel_with`](Self::build_parallel_with)) with a
-    /// bit-identical result.
+    /// ([`assemble`](Self::assemble)) with a bit-identical result.
     fn plan_arm(cfg: &FleetConfig, ai: usize) -> ArmPlan {
         let arm_cfg = &cfg.arms[ai];
         let root = Rng::seed_from(cfg.seed);
         let arm_rng = root.split("arm", ai as u64);
+        let bom = arm_cfg.device_spec.energy.bom(&cfg.env);
         let mut initial: Vec<(SimTime, Ev)> = Vec::new();
         // Device lifetimes. Legacy samples per device from the device's
         // own substream (the original event-path contract the paper-scale
@@ -648,7 +676,7 @@ impl FleetSim {
             SamplingMode::Legacy => (0..arm_cfg.devices)
                 .map(|di| {
                     let mut drng = arm_rng.split("device", di as u64);
-                    DeviceState::deploy(arm_cfg.device_spec, SimTime::ZERO, &cfg.env, &mut drng)
+                    DeviceState::deploy_from(arm_cfg.device_spec, &bom, SimTime::ZERO, &mut drng)
                         .fails_at
                 })
                 .collect(),
@@ -729,6 +757,7 @@ impl FleetSim {
         }
         ArmPlan {
             store,
+            bom,
             infra,
             report,
             initial,
@@ -749,17 +778,33 @@ impl FleetSim {
         let t_max = 200.0_f64.max(cfg.horizon.as_years_f64() * 2.0);
         let table = lifetime_table(arm_cfg.device_spec.energy, &cfg.env, t_max);
         let mut death_rng = arm_rng.split("deaths", 0);
-        sorted_uniforms(arm_cfg.devices, &mut death_rng)
+        let mut years = sorted_uniforms(arm_cfg.devices, &mut death_rng);
+        table.invert_ascending(&mut years);
+        years
             .into_iter()
-            .map(|u| SimTime::ZERO.saturating_add(SimDuration::from_years_f64(table.invert(u))))
+            .map(|y| SimTime::ZERO.saturating_add(SimDuration::from_years_f64(y)))
             .collect()
     }
 
-    /// Phase 2 of the build: serial assembly of planned arms into the
-    /// world — metric registration (in arm order, so the registry is
-    /// identical to the serial build's), diary creation, and queue
-    /// priming in the canonical serial order.
-    fn assemble(cfg: FleetConfig, plans: Vec<ArmPlan>, queue: EventQueue<Ev>) -> Engine<FleetSim> {
+    /// Builds the world and its primed events without an engine.
+    ///
+    /// Phase 1 plans every arm ([`plan_arm`](Self::plan_arm)), fanned out
+    /// over up to `workers` scoped threads ([`simcore::fanout::fan_out`];
+    /// one worker plans inline). Each plan is a pure function of
+    /// `(seed, arm index, config)` with no shared state, so computing
+    /// plans concurrently changes nothing; at 1M devices this phase
+    /// (order-statistic lifetimes per arm) dominates build time.
+    ///
+    /// Phase 2 runs on the calling thread: metric registration (in arm
+    /// order, so the registry is identical whatever `workers` is), diary
+    /// creation, and the primed event list in canonical order — the two
+    /// tick chains, then each arm's planned events in arm order. Whoever
+    /// schedules that list in order (one engine, or one per shard after
+    /// routing) reproduces the serial run's tie-breaks.
+    pub(crate) fn assemble(cfg: FleetConfig, workers: usize) -> (FleetSim, Vec<(SimTime, Ev)>) {
+        let arm_ids = (0..cfg.arms.len()).collect();
+        let plans = fan_out(arm_ids, workers, || (), |_, _, ai| Self::plan_arm(&cfg, ai))
+            .unwrap_or_else(|p| std::panic::resume_unwind(p.payload));
         let root = Rng::seed_from(cfg.seed);
         let metrics = Arc::new(Registry::new());
         // Chaos counters are pre-registered (at zero) in *every* run, so a
@@ -773,10 +818,13 @@ impl FleetSim {
         let chaos_skipped = metrics.counter("chaos.skipped").expect("fresh registry");
 
         let mut arms = Vec::with_capacity(plans.len());
-        let mut initial_failures: Vec<(SimTime, Ev)> = Vec::new();
+        let mut primed: Vec<(SimTime, Ev)> =
+            Vec::with_capacity(2 + plans.iter().map(|p| p.initial.len()).sum::<usize>());
+        primed.push((SimTime::ZERO + SimDuration::from_weeks(1), Ev::WeeklyCheck));
+        primed.push((SimTime::ZERO + SimDuration::from_years(1), Ev::YearlyTick));
         for (ai, plan) in plans.into_iter().enumerate() {
             let arm_cfg = &cfg.arms[ai];
-            initial_failures.extend(plan.initial);
+            primed.extend(plan.initial);
             let mut arm_diary = Diary::new();
             arm_diary.log(
                 SimTime::ZERO,
@@ -818,28 +866,14 @@ impl FleetSim {
                 weekly_acc,
                 outage_span: None,
                 scratch: WeekScratch::default(),
+                bom: plan.bom,
             });
         }
 
         let mut cloud_rng = root.split("cloud", 0);
         let cloud = CloudEndpoint::paper_default(cfg.horizon, &mut cloud_rng);
 
-        let world = FleetSim { cfg, arms, cloud, metrics, chaos_applied, chaos_skipped };
-        let mut engine = Engine::new_with_queue(world, queue);
-        // Batch-schedule the priming events in the exact order the serial
-        // schedule_at calls used — FIFO sequence numbers are assigned in
-        // iteration order, so run digests are unchanged.
-        let mut ids = Vec::new();
-        engine.schedule_many(
-            [
-                (SimTime::ZERO + SimDuration::from_weeks(1), Ev::WeeklyCheck),
-                (SimTime::ZERO + SimDuration::from_years(1), Ev::YearlyTick),
-            ]
-            .into_iter()
-            .chain(initial_failures),
-            &mut ids,
-        );
-        engine
+        (FleetSim { cfg, arms, cloud, metrics, chaos_applied, chaos_skipped }, primed)
     }
 
     /// Runs the configured experiment to its horizon on the calling
@@ -880,47 +914,37 @@ impl FleetSim {
         (world.finalize(events, profile, horizon), queue)
     }
 
-    /// The one finalize path every runner — serial, hooked, sharded —
-    /// funnels through: right-censors survivors, settles the deferred
-    /// per-arm metrics, and performs the canonical merge of the per-arm
-    /// diaries and span logs (stable by time, ties in ascending global
-    /// arm id). Because the merge order is a pure function of per-arm
-    /// streams, a sharded run that reproduced each arm's stream exactly
-    /// produces a bit-identical report here.
+    /// Finalizes a serial world at the horizon: closes every arm
+    /// ([`ArmState::close`]) and collects the report. A sharded run closes
+    /// its arms inside their shards instead and then collects through the
+    /// same [`report`](Self::report).
     pub(crate) fn finalize(
         mut self,
         events: u64,
         profile: EngineProfile,
         horizon: SimTime,
     ) -> FleetReport {
+        for arm in &mut self.arms {
+            arm.close(horizon);
+        }
+        self.report(events, profile)
+    }
+
+    /// The one collection path every runner — serial, hooked, sharded —
+    /// funnels through, over arms already closed: the canonical merge of
+    /// the per-arm diaries and span logs (by time, ties in ascending
+    /// global arm id) and the per-arm ledgers. Because the merge order is
+    /// a pure function of per-arm streams, a sharded run that reproduced
+    /// each arm's stream exactly produces a bit-identical report here.
+    pub(crate) fn report(mut self, events: u64, profile: EngineProfile) -> FleetReport {
         // Arms in ascending global id: the identity for serial worlds,
-        // and the merge order for arms regrouped from shards.
+        // and the merge order for arms regathered from shards.
         self.arms.sort_by_key(|a| a.id);
-        // Right-censor the survivors at the horizon.
-        for arm in &mut self.arms {
-            for di in 0..arm.store.len() {
-                if arm.store.alive_at(di, horizon) {
-                    arm.report
-                        .lifetime_observations
-                        .push(Observation::censored(arm.store.age_at(di, horizon).as_years_f64()));
-                }
-            }
-        }
-        // Settle the per-arm delivery metrics the hot loop deferred: the
-        // counter from the report ledger, the histogram from its local
-        // accumulator. Local f64 accumulation starting from 0.0 matches
-        // the sequential atomic-add order bit-for-bit, so digests are
-        // unchanged by the batching.
-        for arm in &mut self.arms {
-            arm.delivered.add(arm.report.readings_delivered);
-            let flushed = arm.weekly_acc.flush_into(&arm.weekly_hist);
-            debug_assert!(flushed, "accumulator layout matches by construction");
-        }
-        // Canonical merge: the arms' diaries concatenated in ascending
-        // arm id and sorted once, stably by time, so same-second entries
-        // from different arms always come out in ascending arm order —
-        // regardless of which order the serial event loop (or which
-        // shard) happened to write them in.
+        // Canonical merge: the arms' diaries — each time-ordered, since
+        // it was written at a monotone engine clock — merged k-way in
+        // ascending arm id, so same-second entries from different arms
+        // always come out in ascending arm order, regardless of which
+        // order the serial event loop (or which shard) wrote them in.
         let diary = Diary::concat(self.arms.iter_mut().map(|arm| core::mem::take(&mut arm.diary)));
         let mut spans: Vec<Span> = Vec::new();
         for arm in &self.arms {
@@ -936,122 +960,6 @@ impl FleetSim {
             metrics,
             spans,
         }
-    }
-
-    /// Event kinds every shard replays locally instead of owning: the
-    /// fleet-wide tick chains. [`merge_shards_onto`](Self::merge_shards_onto) must
-    /// not sum their dispatch counts across shards — shard 0's copy is the
-    /// canonical one — so the merged profile (and `events_processed`)
-    /// matches the serial run exactly.
-    pub(crate) const DUPLICATED_KINDS: &'static [&'static str] = &["weekly-check", "yearly-tick"];
-
-    /// Splits an engine into one engine per shard group, plus the arm-less
-    /// shell of the world that [`merge_shards_onto`](Self::merge_shards_onto)
-    /// regathers the finished arms into.
-    ///
-    /// `groups[si]` lists the global arm ids shard `si` owns; every arm
-    /// must appear in exactly one group and groups must be non-empty. The
-    /// split preserves determinism in three ways:
-    ///
-    /// 1. **Arms** move whole (with their private rng/diary/spans) into
-    ///    their owner shard, keeping ascending-id order within the shard,
-    ///    so each arm's random stream is untouched.
-    /// 2. **Primed events** are drained from the serial queue in its
-    ///    (time, FIFO) pop order and re-scheduled into the owner shard's
-    ///    queue in that same order — relative order among a shard's events
-    ///    is exactly the serial order. Tick-chain events ([`Ev::arm`] =
-    ///    `None`) are cloned into every shard so each shard evaluates its
-    ///    own arms weekly.
-    /// 3. **Shared telemetry**: all shards keep handles to the same
-    ///    [`Registry`] through the `Arc`; counter increments are atomic
-    ///    adds, which commute, and histogram flushes happen per-arm at
-    ///    finalize — so the merged snapshot is order-independent.
-    pub(crate) fn split_for_shards(
-        engine: Engine<FleetSim>,
-        groups: &[Vec<usize>],
-    ) -> (FleetSim, Vec<Engine<FleetSim>>) {
-        let (mut shell, mut queue) = engine.into_parts();
-        let arms = core::mem::take(&mut shell.arms);
-        // Owner map: global arm id -> shard slot.
-        let mut owner = vec![0usize; arms.len()];
-        for (si, group) in groups.iter().enumerate() {
-            for &ai in group {
-                owner[ai] = si;
-            }
-        }
-        // Partition arms, preserving ascending-id order within each shard.
-        let mut shard_arms: Vec<Vec<ArmState>> = (0..groups.len()).map(|_| Vec::new()).collect();
-        for arm in arms {
-            shard_arms[owner[arm.id]].push(arm);
-        }
-        // Route the primed events in serial (time, FIFO) pop order.
-        let mut shard_events: Vec<Vec<(SimTime, Ev)>> =
-            (0..groups.len()).map(|_| Vec::new()).collect();
-        while let Some((at, ev)) = queue.pop() {
-            match ev.arm() {
-                Some(ai) => shard_events[owner[ai]].push((at, ev)),
-                None => {
-                    for events in &mut shard_events {
-                        events.push((at, ev));
-                    }
-                }
-            }
-        }
-        let mut engines = Vec::with_capacity(groups.len());
-        let mut ids = Vec::new();
-        for (si, arms) in shard_arms.into_iter().enumerate() {
-            let world = FleetSim {
-                cfg: shell.cfg.clone(),
-                arms,
-                cloud: shell.cloud.clone(),
-                metrics: Arc::clone(&shell.metrics),
-                chaos_applied: shell.chaos_applied.clone(),
-                chaos_skipped: shell.chaos_skipped.clone(),
-            };
-            let mut engine = Engine::new(world);
-            ids.clear();
-            engine.schedule_many(shard_events[si].drain(..), &mut ids);
-            engines.push(engine);
-        }
-        (shell, engines)
-    }
-
-    /// Merges finished shard engines (in shard-index order) back into the
-    /// world `shell` they were split from, and finalizes one
-    /// [`FleetReport`], bit-identical to the serial report.
-    ///
-    /// Arms are regrouped and [`finalize`](Self::finalize) re-sorts them
-    /// into ascending global-id order, so the canonical diary/span merge
-    /// and the per-arm ledgers come out exactly as a serial run's would.
-    /// Profiles fold via [`EngineProfile::absorb_shard`]: per-arm event
-    /// kinds sum (each is owned by one shard), the replayed tick chains
-    /// ([`DUPLICATED_KINDS`](Self::DUPLICATED_KINDS)) keep shard 0's
-    /// canonical count, and `events_processed` is recomputed from the
-    /// merged dispatch counts.
-    ///
-    /// Shard profiles fold onto `base` — the dispatch counts a resumed
-    /// run accrued *before* its checkpoint, which
-    /// [`split_for_shards`](Self::split_for_shards) discards (shard
-    /// engines start with fresh profiles). Fresh runs pass a default
-    /// base; resumed sharded runs pass the restored serial profile so
-    /// `events_processed` still matches the uninterrupted serial run
-    /// exactly.
-    pub(crate) fn merge_shards_onto(
-        mut shell: FleetSim,
-        base: EngineProfile,
-        engines: Vec<Engine<FleetSim>>,
-        horizon: SimTime,
-    ) -> FleetReport {
-        let mut profile = base;
-        for (si, engine) in engines.into_iter().enumerate() {
-            // Shard 0 absorbs with nothing deduplicated: its tick chains
-            // are the canonical copies.
-            let duplicated = if si == 0 { &[] } else { Self::DUPLICATED_KINDS };
-            profile.absorb_shard(engine.profile(), duplicated);
-            shell.arms.extend(engine.into_world().arms);
-        }
-        let events = profile.total_dispatched();
-        shell.finalize(events, profile, horizon)
     }
 
     /// Runs the configured experiment split across `shards` worker
@@ -1834,14 +1742,13 @@ impl World for FleetSim {
                 }
             }
             Ev::DeviceReplace(ai, di) => {
-                let env = self.cfg.env;
                 let horizon = self.cfg.horizon;
                 let Some(arm) = self.local_arm(ai) else { return };
                 let mut drng = arm
                     .rng
                     .split("replace", di as u64)
                     .split("at", now.as_secs());
-                let dev = DeviceState::deploy(arm.cfg.device_spec, now, &env, &mut drng);
+                let dev = DeviceState::deploy_from(arm.cfg.device_spec, &arm.bom, now, &mut drng);
                 if dev.fails_at.as_secs() < horizon.as_secs() {
                     ctx.schedule_at(dev.fails_at, Ev::DeviceFail(ai, di));
                 }

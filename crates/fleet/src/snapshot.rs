@@ -15,7 +15,8 @@
 //!   from the [`FleetConfig`] — the config itself, arm metadata, device
 //!   specs, gateway specs, the deployment-time coverage lottery
 //!   (`homes`), the cloud ritual calendar, metric registration. Resume
-//!   re-runs `build` on the caller's config and asserts (via a config
+//!   re-runs the build's world assembly (no queue is primed) on the
+//!   caller's config and asserts (via a config
 //!   fingerprint) that it matches the one the snapshot was taken under.
 //! * **Stored and overlaid.** Everything the run mutates: the engine's
 //!   clock, dispatch counters and pending event queue
@@ -566,10 +567,10 @@ fn resume_payload(payload: &[u8], cfg: FleetConfig) -> Result<ResumedFleet, Snap
         ChaosProgress { next: r.take_u64()?, applied: r.take_u64()?, skipped: r.take_u64()? };
     let applied_counter = r.take_u64()?;
     let skipped_counter = r.take_u64()?;
-    // Rebuild the world skeleton deterministically from the config, then
-    // discard the freshly primed queue: the stored checkpoint carries the
+    // Rebuild the world skeleton deterministically from the config,
+    // without priming an engine: the stored checkpoint carries the
     // authoritative pending events.
-    let (mut world, _primed) = FleetSim::build(cfg).into_parts();
+    let (mut world, _primed) = FleetSim::assemble(cfg, 1);
     let n_arms = r.take_count(64)?;
     if n_arms != world.arms.len() {
         return Err(SnapshotError::Corrupt { what: "arm count differs from config" });

@@ -848,7 +848,41 @@ impl InverseCdf {
             return self.ts[last];
         }
         // First knot with cdf >= u; the predecessor exists by the guards.
-        let hi = self.cdf.partition_point(|&f| f < u);
+        self.interpolate(self.cdf.partition_point(|&f| f < u), u)
+    }
+
+    /// Replaces every `u` in `us` with [`invert`](Self::invert)`(u)`,
+    /// bit for bit, walking the knots forward instead of searching them:
+    /// O(len + knots) for ascending input (the order statistics of
+    /// [`sorted_uniforms`]) instead of O(len · log knots). Input that
+    /// steps backwards is still inverted exactly; the walk restarts with
+    /// a search at that element.
+    pub fn invert_ascending(&self, us: &mut [f64]) {
+        let last = self.cdf.len() - 1;
+        // Invariant between interior elements: cdf[hi - 1] < u, so the
+        // first knot with cdf >= u is at or after `hi`.
+        let mut hi = 1;
+        for u in us {
+            let x = *u;
+            *u = if x <= self.cdf[0] {
+                self.ts[0]
+            } else if x >= self.cdf[last] {
+                self.ts[last]
+            } else {
+                if self.cdf[hi - 1] >= x {
+                    hi = self.cdf.partition_point(|&f| f < x);
+                }
+                while self.cdf[hi] < x {
+                    hi += 1;
+                }
+                self.interpolate(hi, x)
+            };
+        }
+    }
+
+    /// Linear interpolation of `u` between knot `hi - 1` and knot `hi`,
+    /// the first knot whose CDF value is at least `u`.
+    fn interpolate(&self, hi: usize, u: f64) -> f64 {
         let lo = hi - 1;
         let (f0, f1) = (self.cdf[lo], self.cdf[hi]);
         let span = f1 - f0;
@@ -1306,6 +1340,45 @@ mod tests {
         assert!((table.t_max() - 200.0).abs() < 1e-12);
         // Mass beyond the table clamps to t_max.
         assert!((table.invert(0.9999999999) - 200.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ascending_inversion_equals_invert_bit_for_bit() {
+        // F(0) = 0.1 (an atom at zero), flat on [0, 2], [4, 6] and past
+        // 10, topping out at 0.9: both clamps and flat segments occur.
+        let cdf = |t: f64| {
+            if t < 2.0 {
+                0.1
+            } else if t < 4.0 {
+                0.1 + 0.2 * (t - 2.0)
+            } else if t < 6.0 {
+                0.5
+            } else if t < 10.0 {
+                0.5 + 0.1 * (t - 6.0)
+            } else {
+                0.9
+            }
+        };
+        let table = InverseCdf::tabulate(cdf, 12.0, 48).unwrap();
+        let mut r = rng();
+        let mut us = sorted_uniforms(5_000, &mut r);
+        // Below, at and above each end, every knot value, and the flats.
+        us.extend([0.0, 0.05, 0.1, 0.3, 0.5, 0.5, 0.7, 0.9, 0.95, 1.0 - f64::EPSILON]);
+        us.extend((0..=48).map(|i| cdf(12.0 * (i as f64 / 48.0))));
+        us.sort_by(f64::total_cmp);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let expect: Vec<f64> = us.iter().map(|&u| table.invert(u)).collect();
+        let mut walked = us.clone();
+        table.invert_ascending(&mut walked);
+        assert_eq!(bits(&walked), bits(&expect));
+        assert_eq!(walked[0], 0.0, "below cdf[0] clamps to the first knot");
+        assert_eq!(walked[walked.len() - 1], 12.0, "above cdf[last] clamps to t_max");
+        // Input that steps backwards restarts the walk and stays exact.
+        let mut reversed: Vec<f64> = us.iter().rev().copied().collect();
+        table.invert_ascending(&mut reversed);
+        assert_eq!(bits(&reversed), bits(&expect.iter().rev().copied().collect::<Vec<_>>()));
+        let mut empty: [f64; 0] = [];
+        table.invert_ascending(&mut empty);
     }
 
     #[test]

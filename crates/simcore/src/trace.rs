@@ -5,7 +5,10 @@
 //! simulated runs: an append-only log of tagged entries with severity,
 //! filterable and renderable as plain text.
 
+use core::cmp::Reverse;
 use core::fmt;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -221,19 +224,46 @@ impl Diary {
     }
 
     /// Merges many diaries at once (e.g. per-arm diaries), moving their
-    /// entries in without cloning: concatenates them in iteration order
-    /// and sorts once, stably by time. Same-time entries keep
-    /// earlier-diary-first order and each diary's internal order, so the
-    /// result equals folding [`Diary::merge`] over the same sequence at
-    /// the cost of one sort instead of one per diary — and merging
-    /// per-arm diaries is reproducible regardless of how many arms
-    /// contributed.
+    /// entries in without cloning: one k-way merge by time into a
+    /// presized log. Same-time entries keep earlier-diary-first order and
+    /// each diary's internal order, so the result equals folding
+    /// [`Diary::merge`] over the same sequence — and merging per-arm
+    /// diaries is reproducible regardless of how many arms contributed.
+    ///
+    /// Every part must already be time-ordered, which [`Diary::log`]
+    /// guarantees for a diary that follows a monotone clock; the merge
+    /// does not sort (debug builds assert the precondition).
     pub fn concat(parts: impl IntoIterator<Item = Diary>) -> Diary {
-        let mut entries = Vec::new();
-        for part in parts {
-            entries.extend(part.entries);
+        let mut parts: Vec<Vec<Entry>> =
+            parts.into_iter().map(|d| d.entries).filter(|e| !e.is_empty()).collect();
+        debug_assert!(
+            parts.iter().all(|p| p.windows(2).all(|w| w[0].at <= w[1].at)),
+            "concatenated diaries must each be time-ordered"
+        );
+        if parts.len() <= 1 {
+            return Diary { entries: parts.pop().unwrap_or_default() };
         }
-        entries.sort_by_key(|e| e.at);
+        let mut entries = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+        let mut parts: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
+        // One head per part, keyed (time, part): the earlier part wins a
+        // same-time tie, and a part's own entries leave in its order.
+        let mut heads: BinaryHeap<Reverse<(SimTime, usize)>> = parts
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| p.as_slice().first().map(|e| Reverse((e.at, i))))
+            .collect();
+        while let Some(mut top) = heads.peek_mut() {
+            let Reverse((_, i)) = *top;
+            let part = &mut parts[i];
+            entries.extend(part.next());
+            // Rekey the top in place (one sift on release) or retire it.
+            match part.as_slice().first() {
+                Some(e) => *top = Reverse((e.at, i)),
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
+        }
         Diary { entries }
     }
 
@@ -335,6 +365,46 @@ mod tests {
         assert_eq!(merged.render(), folded.render());
         let msgs: Vec<&str> = merged.entries().iter().map(|e| e.message.as_str()).collect();
         assert_eq!(msgs, vec!["b0", "a1", "b1", "c1", "a4", "b4"]);
+    }
+
+    #[test]
+    fn concat_equals_the_concat_and_stable_sort_oracle() {
+        fn oracle(parts: &[Diary]) -> Vec<Entry> {
+            let mut entries: Vec<Entry> =
+                parts.iter().flat_map(|d| d.entries.iter().cloned()).collect();
+            entries.sort_by_key(|e| e.at);
+            entries
+        }
+        let key = |e: &Entry| (e.at, e.message.clone());
+        let mut rng = crate::rng::Rng::seed_from(0xD1A7);
+        for case in 0..400 {
+            // 1..=6 parts, some empty; times drawn from a few instants so
+            // equal-time entries across parts are the common case.
+            let n_parts = 1 + rng.next_below(6) as usize;
+            let parts: Vec<Diary> = (0..n_parts)
+                .map(|p| {
+                    let mut d = Diary::new();
+                    let len = if rng.chance(0.2) { 0 } else { rng.next_below(12) };
+                    let mut t = 0;
+                    for k in 0..len {
+                        t += rng.next_below(3);
+                        d.log(SimTime::from_secs(t), Severity::Info, Tier::Device, format!("{p}.{k}"));
+                    }
+                    d
+                })
+                .collect();
+            let expect: Vec<_> = oracle(&parts).iter().map(key).collect();
+            let merged = Diary::concat(parts);
+            let got: Vec<_> = merged.entries().iter().map(key).collect();
+            assert_eq!(got, expect, "case {case}");
+        }
+        // A single part passes through whole; no parts give an empty diary.
+        let mut one = Diary::new();
+        one.log(SimTime::from_secs(1), Severity::Info, Tier::Cloud, "x");
+        one.log(SimTime::from_secs(1), Severity::Info, Tier::Cloud, "y");
+        assert_eq!(Diary::concat([one.clone()]).render(), one.render());
+        assert!(Diary::concat([Diary::new(), Diary::new()]).is_empty());
+        assert!(Diary::concat(Vec::new()).is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 
-use simcore::trace::Diary;
+use simcore::trace::{Diary, Entry};
 
 use crate::registry::{MetricValue, Snapshot};
 use crate::span::Span;
@@ -17,7 +17,11 @@ use crate::span::Span;
 /// to escape — no `"`, `\\` or control byte — are copied whole.
 fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
-    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+    // A fold without early exit: the compiler vectorizes it, and almost
+    // every message is scanned to the end anyway.
+    let needs_escape =
+        s.bytes().fold(false, |acc, b| acc | (b == b'"') | (b == b'\\') | (b < 0x20));
+    if !needs_escape {
         out.push_str(s);
         out.push('"');
         return;
@@ -47,19 +51,51 @@ fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Appends `v` in decimal.
-fn push_u64(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
+/// The fixed head of an event line up to its message, assembled as
+/// ASCII bytes: `{"type":"event","t":…,"sev":"…","tier":"…","msg":`.
+struct EventHead {
+    bytes: [u8; EventHead::CAP],
+    len: usize,
+}
+
+impl EventHead {
+    /// The longest head: a 20-digit timestamp, `INCIDENT`, `backhaul`.
+    const CAP: usize = 96;
+
+    fn new(e: &Entry) -> EventHead {
+        let mut head = EventHead { bytes: [0; Self::CAP], len: 0 };
+        head.put(b"{\"type\":\"event\",\"t\":");
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        let mut v = e.at.as_secs();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
         }
+        head.put(&digits[start..]);
+        // Severity and tier names are plain ASCII words: nothing to escape.
+        head.put(b",\"sev\":\"");
+        head.put(e.severity.as_str().as_bytes());
+        head.put(b"\",\"tier\":\"");
+        head.put(e.tier.as_str().as_bytes());
+        head.put(b"\",\"msg\":");
+        head
     }
-    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.bytes[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn as_str(&self) -> &str {
+        // Every byte put is ASCII, so this check cannot fail; it costs a
+        // pass over one short line.
+        core::str::from_utf8(&self.bytes[..self.len]).unwrap_or_default()
+    }
 }
 
 /// Bytes of one event line besides its message, with room for the
@@ -73,14 +109,7 @@ pub fn diary_to_jsonl(diary: &Diary) -> String {
         entries.iter().map(|e| e.message.len() + EVENT_LINE_OVERHEAD).sum(),
     );
     for e in entries {
-        out.push_str("{\"type\":\"event\",\"t\":");
-        push_u64(&mut out, e.at.as_secs());
-        // Severity and tier names are plain ASCII words: nothing to escape.
-        out.push_str(",\"sev\":\"");
-        out.push_str(e.severity.as_str());
-        out.push_str("\",\"tier\":\"");
-        out.push_str(e.tier.as_str());
-        out.push_str("\",\"msg\":");
+        out.push_str(EventHead::new(e).as_str());
         push_escaped(&mut out, &e.message);
         out.push_str("}\n");
     }

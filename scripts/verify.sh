@@ -24,6 +24,9 @@ cargo test -q --release --test golden_digests
 echo "== golden snapshot format (layout pin; intentional changes bump FLEET_SNAPSHOT_VERSION) =="
 cargo test -q --release --test golden_snapshot
 
+echo "== shard differential (release: the build perfbench times primes shard queues in parallel) =="
+cargo test -q --release --test shard_differential
+
 echo "== example smoke pass =="
 cargo run -q --release --example quickstart > /dev/null
 

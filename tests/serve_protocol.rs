@@ -201,26 +201,48 @@ fn deadline_expiry_is_a_typed_error_and_the_run_still_lands_in_cache() {
 #[test]
 fn overload_sheds_excess_requests_with_typed_errors() {
     // One worker, queue depth 1: request A executes, request B queues,
-    // request C must be refused at admission.
+    // request C must be refused at admission. Each step waits on the
+    // daemon's own gauges rather than on sleeps, so only A's run has to
+    // outlast the admission sequence, which takes milliseconds: 5,000
+    // years, a quarter second or more in a release build and seconds in a
+    // debug build. B only has to wait in the queue.
     let server = start_server("overload", 1, 1);
     let addr = server.addr().to_string();
-    // Millennia-long scenarios keep the single worker busy for long
-    // enough that the admission sequence below cannot race.
-    let slow = |seed: u64| format!("{{\"op\":\"run\",\"seed\":{seed},\"years\":3000}}");
+    let run = |seed: u64, years: u64| format!("{{\"op\":\"run\",\"seed\":{seed},\"years\":{years}}}");
+    let mut admin = connect(&server);
+    let mut wait_until = |what: &str, busy: u64, depth: u64| {
+        let started = Instant::now();
+        loop {
+            let stats = match admin.call("{\"op\":\"stats\"}").expect("transport holds") {
+                (_, Response::Result(obj)) => obj,
+                (_, other) => panic!("expected stats, got {other:?}"),
+            };
+            let gauge = |name: &str| stats.f64_field(name).unwrap_or(0.0).round() as u64;
+            assert_eq!(
+                stats.u64_field("serve.executed").unwrap_or(0),
+                0,
+                "request A finished before {what}; it must outlast admission"
+            );
+            if gauge("serve.workers.busy") == busy && gauge("serve.queue.depth") == depth {
+                return;
+            }
+            assert!(started.elapsed() < Duration::from_secs(30), "never saw {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
 
     // Fire A and B without waiting for their results.
     let mut a = Client::connect(&addr).expect("connect a");
-    a.send(&slow(100)).expect("send a");
+    a.send(&run(100, 5_000)).expect("send a");
+    wait_until("A on the worker", 1, 0);
     let mut b = Client::connect(&addr).expect("connect b");
-    // Give A time to be popped by the worker so B lands in the queue.
-    std::thread::sleep(Duration::from_millis(250));
-    b.send(&slow(101)).expect("send b");
-    std::thread::sleep(Duration::from_millis(250));
+    b.send(&run(101, 500)).expect("send b");
+    wait_until("B in the queue", 1, 1);
 
     // C finds the queue full.
     let mut c = Client::connect(&addr).expect("connect c");
     let started = Instant::now();
-    expect_error(&mut c, &slow(102), "overloaded");
+    expect_error(&mut c, &run(102, 500), "overloaded");
     assert!(
         started.elapsed() < Duration::from_secs(10),
         "admission control must reject immediately, not after the backlog"

@@ -4,7 +4,9 @@
 //! A `fleet::Run` on `k` shards promises a run digest **bit-identical** to
 //! the serial run for every seed and every shard count — with and without
 //! fault injection. This suite grinds that promise against 8 seeds ×
-//! k ∈ {1, 2, 3, 8} × {plain, full-intensity chaos}, mirroring the
+//! k ∈ {1, 2, 3, 8} × {plain, full-intensity chaos} on the paper fleet,
+//! plus k = 16 — one arm per shard — on the 16-arm `scaled` fleet,
+//! mirroring the
 //! queue-vs-heap differential test that guarded the timing-wheel swap:
 //! the serial path is the reference implementation, the sharded path is
 //! the optimisation under test, and the digest (ordered diary, spans,
@@ -16,7 +18,7 @@ mod common;
 
 use chaos::FaultPlanBuilder;
 use common::{run_with_plan, serial_with_plan};
-use fleet::sim::{FleetConfig, FleetReport, FleetSim};
+use fleet::sim::{FleetConfig, FleetReport, FleetSim, SamplingMode};
 use fleet::Run;
 
 const SEEDS: [u64; 8] = [1, 2, 3, 7, 42, 97, 1001, 0xdead_beef];
@@ -92,4 +94,29 @@ fn oversharded_run_still_matches_serial() {
     let serial = FleetSim::run(FleetConfig::paper_experiment(3));
     let sharded = sharded(FleetConfig::paper_experiment(3), 64);
     assert_eq!(serial.digest(), sharded.digest());
+}
+
+#[test]
+fn one_arm_per_shard_matches_serial_on_the_scaled_fleet() {
+    // k = 16 on the 16-arm fleet: every shard owns exactly one arm, so
+    // every arm is routed, run and closed on a worker of its own.
+    let k = FleetConfig::SCALED_ARMS;
+    for seed in [5, 61, 0xfeed] {
+        for sampling in [SamplingMode::Legacy, SamplingMode::Aggregate] {
+            let cfg = || FleetConfig::scaled(seed, 16 * 20).with_sampling(sampling);
+            let serial = FleetSim::run(cfg());
+            let sharded = sharded(cfg(), k);
+            assert_eq!(serial.digest(), sharded.digest(), "seed {seed}, {sampling:?}, k={k}");
+            assert_eq!(serial.events_processed, sharded.events_processed, "seed {seed}");
+
+            let plan = FaultPlanBuilder::full(seed ^ 0x16).build(&cfg(), 1.0).unwrap();
+            let serial = serial_with_plan(cfg(), &plan);
+            let sharded = run_with_plan(cfg(), &plan, k);
+            assert_eq!(
+                serial.digest(),
+                sharded.digest(),
+                "seed {seed}, {sampling:?}, k={k}, chaos=full@1.0: sharded digest drifted"
+            );
+        }
+    }
 }
